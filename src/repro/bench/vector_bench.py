@@ -1,29 +1,22 @@
-"""Columnar-vs-scalar batch throughput (``BENCH_vector.json``).
+"""Columnar batch throughput (``BENCH_vector.json``).
 
-The tentpole measurement of the columnar B+-tree hot path: the
-fig9-medium workload (N=2000 medium objects, k=3 slopes) answered as a
-*slope-group fan batch* — for every predefined slope, a fan of 20
+The fig9-medium workload (N=2000 medium objects, k=3 slopes) answered
+as a *slope-group fan batch* — for every predefined slope, a fan of 20
 intercepts × {EXIST, ALL} × {>=, <=}, i.e. 240 exact-path queries that
-group into one merged sweep per (slope, direction, type) — once on the
-scalar engine (``columnar=False``, the pre-PR per-entry Python path)
-and once on the columnar engine (vectorized descent, array sweeps,
-lazy tid-column answers).
+group into one merged sweep per (slope, direction, type) — on the
+B+-tree's columnar engine (vectorized descent, array sweeps, lazy
+tid-column answers).
 
-Guard rails before any number is reported:
-
-* **answers identical** — every query's id set must match between the
-  two engines (the columnar path is a faster arrangement of the same
-  computation, not an approximation);
-* **page accounting identical** — batch logical reads/writes must be
-  bit-identical (the paper's cost metric is untouched by the rewrite).
-
-Either check failing exits 1 and the artifact says which.
+Guard rail before any number is reported: every query's id set must
+equal the exact geometric oracle
+(:func:`repro.geometry.predicates.evaluate_relation`, minus the tuples
+the index skips as unsatisfiable). A mismatch exits 1 and the artifact
+lists the diverging query positions.
 
 Timing uses dedicated :class:`BatchExecutor` instances with the result
 LRU disabled — a warm cache would measure ``set.copy`` instead of query
 execution. The ``counters`` section feeds ``repro bench-diff --mode
-floor`` (the CI QPS gate): ``qps_columnar`` is the pinned floor metric,
-``speedup_vs_scalar`` the hardware-portable sanity ratio.
+floor`` (the CI QPS gate): ``qps_columnar`` is the pinned floor metric.
 """
 
 from __future__ import annotations
@@ -36,6 +29,7 @@ import time
 from repro.bench import harness
 from repro.core import ALL, EXIST, DualIndexPlanner, HalfPlaneQuery, SlopeSet
 from repro.exec import BatchExecutor
+from repro.geometry.predicates import evaluate_relation
 from repro.workloads import make_relation
 
 #: The fig9-medium workload (Figure 9: medium objects, N=2000, k=3).
@@ -94,32 +88,28 @@ def run_bench(
     repeats: int = 5,
     width: int = FAN_WIDTH,
 ) -> dict:
-    """Run both engines and return the ``BENCH_vector.json`` payload."""
+    """Time the fan batch and return the ``BENCH_vector.json`` payload."""
     relation = make_relation(n, size, seed=seed)
-    slopes = SlopeSet.uniform_angles(k)
     queries = fan_batch(k, width)
+    planner = DualIndexPlanner.build(relation, SlopeSet.uniform_angles(k))
+    # One untimed pass decodes node pages into the columnar cache and
+    # the buffer pool, so every timed run starts equally warm.
+    time_engine(planner, queries[:1], 1)
+    seconds, batch = time_engine(planner, queries, repeats)
 
-    scalar = DualIndexPlanner.build(relation, slopes, columnar=False)
-    columnar = DualIndexPlanner.build(relation, slopes, columnar=True)
-    # One untimed pass per engine decodes node pages into the columnar
-    # cache / buffer pool, so both timed runs start equally warm.
-    time_engine(scalar, queries[:1], 1)
-    time_engine(columnar, queries[:1], 1)
-
-    scalar_s, scalar_batch = time_engine(scalar, queries, repeats)
-    columnar_s, columnar_batch = time_engine(columnar, queries, repeats)
-
-    answers_identical = all(
-        a.ids == b.ids
-        for a, b in zip(scalar_batch.results, columnar_batch.results)
-    )
-    pages_identical = (
-        scalar_batch.io.logical_reads == columnar_batch.io.logical_reads
-        and scalar_batch.io.logical_writes == columnar_batch.io.logical_writes
-    )
-    speedup = scalar_s / columnar_s
-
-    payload = {
+    skipped = set(planner.index.skipped)
+    mismatches = [
+        position
+        for position, (query, result) in enumerate(
+            zip(queries, batch.results)
+        )
+        if result.ids != evaluate_relation(
+            relation, query.query_type, query.slope_2d, query.intercept,
+            query.theta,
+        ) - skipped
+    ]
+    qps = round(len(queries) / seconds, 1)
+    return {
         "workload": {
             "figure": "9 (medium objects)",
             "n": n,
@@ -129,50 +119,24 @@ def run_bench(
             "repeats": repeats,
             "queries": len(queries),
         },
-        "engines": [
-            {
-                "engine": "scalar",
-                "batch_seconds": round(scalar_s, 6),
-                "qps": round(len(queries) / scalar_s, 1),
-                "page_accesses": scalar_batch.page_accesses,
-            },
-            {
-                "engine": "columnar",
-                "batch_seconds": round(columnar_s, 6),
-                "qps": round(len(queries) / columnar_s, 1),
-                "page_accesses": columnar_batch.page_accesses,
-            },
-        ],
-        "answers_identical": answers_identical,
-        "pages_identical": pages_identical,
-        "speedup_vs_scalar": round(speedup, 2),
+        "batch_seconds": round(seconds, 6),
+        "qps": qps,
+        "page_accesses": batch.page_accesses,
+        "mismatches": mismatches,
         # bench-diff floor-gate input (see module docstring).
-        "counters": {
-            "qps_scalar": round(len(queries) / scalar_s, 1),
-            "qps_columnar": round(len(queries) / columnar_s, 1),
-            "speedup_vs_scalar": round(speedup, 2),
-        },
+        "counters": {"qps_columnar": qps},
     }
-    return payload
 
 
 def format_report(payload: dict) -> str:
     w = payload["workload"]
-    lines = [
+    return "\n".join([
         f"vector bench — fig9-medium (n={w['n']}, size={w['size']}, "
         f"k={w['k']}, {w['queries']} queries/batch)",
-    ]
-    for row in payload["engines"]:
-        lines.append(
-            f"  {row['engine']:8s}: {row['batch_seconds']:.4f}s batch "
-            f"({row['qps']:.0f} q/s, {row['page_accesses']} pages)"
-        )
-    lines.append(f"  speedup: {payload['speedup_vs_scalar']:.2f}x")
-    lines.append(
-        "  answers identical: %s, pages identical: %s"
-        % (payload["answers_identical"], payload["pages_identical"])
-    )
-    return "\n".join(lines)
+        f"  columnar: {payload['batch_seconds']:.4f}s batch "
+        f"({payload['qps']:.0f} q/s, {payload['page_accesses']} pages)",
+        f"  answers vs oracle: {len(payload['mismatches'])} mismatches",
+    ])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -180,8 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro vector-bench",
         description=(
-            "columnar-vs-scalar batch QPS on the fig9-medium slope-group "
-            "fan (answers and page accounting asserted identical)"
+            "columnar batch QPS on the fig9-medium slope-group fan "
+            "(every answer checked against the exact oracle)"
         ),
     )
     parser.add_argument(
@@ -198,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=5,
-        help="timed attempts per engine (best-of; default 5)",
+        help="timed attempts (best-of; default 5)",
     )
     parser.add_argument(
         "--width", type=int, default=FAN_WIDTH,
@@ -214,11 +178,9 @@ def main(argv: list[str] | None = None) -> int:
         handle.write("\n")
     print(format_report(payload))
     print(f"wrote {args.out}")
-    if not payload["answers_identical"]:
-        print("columnar answers diverged from scalar", file=sys.stderr)
-        return 1
-    if not payload["pages_identical"]:
-        print("columnar page accounting diverged from scalar", file=sys.stderr)
+    if payload["mismatches"]:
+        print("answers diverged from the oracle at positions "
+              f"{payload['mismatches']}", file=sys.stderr)
         return 1
     return 0
 

@@ -5,7 +5,7 @@ structure of Sections 3–4, and the handicap directories used for dynamic
 maintenance, are instances of :class:`BPlusTree`.
 """
 
-from repro.btree.columnar import ColumnarCache, columnar_default
+from repro.btree.columnar import ColumnarCache
 from repro.btree.node import (
     FLAG_HANDICAPS_VALID,
     InternalArrays,
@@ -26,6 +26,5 @@ __all__ = [
     "MultiSweep",
     "NodeLayout",
     "ColumnarCache",
-    "columnar_default",
     "FLAG_HANDICAPS_VALID",
 ]

@@ -1,47 +1,29 @@
 """Columnar decode cache for B+-tree pages (the vectorized hot path).
 
-The scalar tree decodes every page it touches into Python lists —
-``decode_leaf``/``decode_internal`` plus one ``.tolist()`` per column —
-and then walks the lists entry by entry. On the batch query path that
-per-entry Python work dominates; the actual page *reads* are cheap
-dictionary lookups in the simulated disk.
-
-The columnar path keeps the logical access model untouched and only
-changes what happens *after* a read: page images decode into read-only
-numpy arrays (:class:`repro.btree.node.LeafArrays` /
-:class:`repro.btree.node.InternalArrays`) exactly once, cached by page
+Decoding every touched page into Python lists and walking them entry
+by entry would dominate the batch query path; the actual page *reads*
+are cheap dictionary lookups in the simulated disk. So page images
+decode into read-only numpy arrays (:class:`repro.btree.node.LeafArrays`
+/ :class:`repro.btree.node.InternalArrays`) exactly once, cached by page
 id, and every later touch of the same page re-issues the counted
 ``pager.read`` but reuses the decoded columns. Writers invalidate before
 writing, so the cache can never serve stale columns.
 
-Two invariants keep accounting bit-identical to the scalar path:
+Two invariants keep the paper's page accounting exact:
 
 * every node touch still calls ``Pager.read`` (one logical read each —
   the paper's metric), the cache only skips the *decode*;
 * invalidation happens in ``_write_leaf``/``_write_internal``/``_free``
   before the pager operation, so a failed write cannot leave a stale
   decoded page behind (fault-injection safe).
-
-``REPRO_SCALAR=1`` in the environment disables the columnar path
-process-wide (every tree built after that point runs the legacy scalar
-code); it exists so differential tests can cross-check both engines.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.btree.node import InternalArrays, LeafArrays, NodeLayout
 
-#: Environment escape hatch: set to "1" to force the scalar path.
-SCALAR_ENV = "REPRO_SCALAR"
-
-
-def columnar_default() -> bool:
-    """Whether new trees should use the columnar path (env-gated)."""
-    return os.environ.get(SCALAR_ENV, "").strip().lower() not in (
-        "1", "true", "yes",
-    )
+#: Decoded pages kept per kind (leaf / internal) before FIFO eviction.
+CACHE_CAPACITY = 1024
 
 
 class ColumnarCache:
@@ -52,9 +34,8 @@ class ColumnarCache:
     the next touch, never a different answer).
     """
 
-    def __init__(self, layout: NodeLayout, capacity: int = 1024) -> None:
+    def __init__(self, layout: NodeLayout) -> None:
         self._layout = layout
-        self._capacity = max(1, capacity)
         self._leaves: dict[int, LeafArrays] = {}
         self._internals: dict[int, InternalArrays] = {}
 
@@ -63,7 +44,7 @@ class ColumnarCache:
         hit = self._leaves.get(pid)
         if hit is None:
             hit = self._layout.decode_leaf_arrays(data)
-            if len(self._leaves) >= self._capacity:
+            if len(self._leaves) >= CACHE_CAPACITY:
                 self._leaves.pop(next(iter(self._leaves)))
             self._leaves[pid] = hit
         return hit
@@ -73,7 +54,7 @@ class ColumnarCache:
         hit = self._internals.get(pid)
         if hit is None:
             hit = self._layout.decode_internal_arrays(data)
-            if len(self._internals) >= self._capacity:
+            if len(self._internals) >= CACHE_CAPACITY:
                 self._internals.pop(next(iter(self._internals)))
             self._internals[pid] = hit
         return hit
@@ -93,5 +74,5 @@ class ColumnarCache:
     def __repr__(self) -> str:
         return (
             f"<ColumnarCache leaves={len(self._leaves)} "
-            f"internals={len(self._internals)} cap={self._capacity}>"
+            f"internals={len(self._internals)} cap={CACHE_CAPACITY}>"
         )

@@ -15,7 +15,6 @@ an invariant checker used by the test-suite.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -26,7 +25,7 @@ from repro.obs import trace as obs
 from repro.storage.disk import NULL_PAGE
 from repro.storage.pager import Pager
 from repro.storage.serialize import KeyCodec
-from repro.btree.columnar import ColumnarCache, columnar_default
+from repro.btree.columnar import ColumnarCache
 from repro.btree.node import (
     InternalArrays,
     InternalNode,
@@ -51,42 +50,26 @@ class LeafVisit:
 class MultiSweep:
     """The result of a merged multi-key sweep (batch execution).
 
-    ``keys``/``rids`` are parallel entry lists in sweep order (ascending
-    for :meth:`BPlusTree.sweep_up_multi`, descending for
+    ``keys``/``rids`` are parallel float64 / int64 arrays in sweep order
+    (ascending for :meth:`BPlusTree.sweep_up_multi`, descending for
     :meth:`BPlusTree.sweep_down_multi`). ``offsets`` aligns with the
     ``starts`` argument: the entries serving ``starts[i]`` are the suffix
     ``keys[offsets[i]:]`` — for an up-sweep those are the keys
     ``>= starts[i]``, for a down-sweep the keys ``<= starts[i]``.
     ``leaves`` is the number of leaf pages the shared sweep touched.
-
-    On the columnar path ``keys``/``rids`` are numpy arrays (float64 /
-    int64); callers wanting arrays regardless of path use
-    :meth:`arrays`, while :meth:`entries_for` always returns plain
-    lists.
     """
 
-    keys: "list[float] | np.ndarray" = field(default_factory=list)
-    rids: "list[int] | np.ndarray" = field(default_factory=list)
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0))
+    rids: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
     offsets: list[int] = field(default_factory=list)
     leaves: int = 0
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, rids)`` as numpy arrays (no copy on the columnar
-        path; one conversion on the scalar path)."""
-        if isinstance(self.keys, np.ndarray):
-            return self.keys, self.rids  # type: ignore[return-value]
-        return (
-            np.asarray(self.keys, dtype=np.float64),
-            np.asarray(self.rids, dtype=np.int64),
-        )
 
     def entries_for(self, i: int) -> tuple[list[float], list[int]]:
         """The (keys, rids) slice serving the i-th start key."""
         at = self.offsets[i]
-        keys, rids = self.keys[at:], self.rids[at:]
-        if isinstance(keys, np.ndarray):
-            return keys.tolist(), rids.tolist()  # type: ignore[union-attr]
-        return keys, rids  # type: ignore[return-value]
+        return self.keys[at:].tolist(), self.rids[at:].tolist()
 
 
 class BPlusTree:
@@ -103,14 +86,10 @@ class BPlusTree:
         plain trees.
     name:
         Diagnostic label.
-    columnar:
-        When True (the default unless ``REPRO_SCALAR=1`` is set in the
-        environment), descent and merged sweeps run on cached numpy
-        columns (``np.searchsorted`` over per-node key arrays) instead
-        of per-entry Python comparisons. Logical page accounting is
-        bit-identical either way — the flag only changes in-memory work.
-        Pass ``False`` explicitly to force the scalar path (used by the
-        differential verifier to cross-check both engines).
+
+    Descent and merged sweeps run on cached numpy columns
+    (``np.searchsorted`` over per-node key arrays); every node touch is
+    still one counted ``pager.read``.
     """
 
     def __init__(
@@ -119,15 +98,11 @@ class BPlusTree:
         key_codec: KeyCodec | None = None,
         aux_slots: int = 0,
         name: str = "btree",
-        columnar: bool | None = None,
     ) -> None:
         self.pager = pager
         self.codec = key_codec if key_codec is not None else KeyCodec(4)
         self.layout = NodeLayout(pager.page_size, self.codec, aux_slots)
         self.name = name
-        self.columnar = (
-            columnar_default() if columnar is None else bool(columnar)
-        )
         self._columns = ColumnarCache(self.layout)
         self.root: int | None = None
         self.height = 0
@@ -238,38 +213,26 @@ class BPlusTree:
         """Leaf that would contain the smallest entry >= target."""
         assert self.root is not None
         pid = self.root
-        if self.columnar:
-            for _ in range(self.height - 1):
-                arrs = self._internal_arrays(pid)
-                obs.incr("btree.node_visits")
-                at = _searchsorted_composite(
-                    arrs.keys, arrs.rids, target, right=False
-                )
-                pid = int(arrs.children[at])
-            return pid
         for _ in range(self.height - 1):
-            node = self._read_internal(pid)
+            arrs = self._internal_arrays(pid)
             obs.incr("btree.node_visits")
-            pid = node.children[_bisect_left(node.seps, target)]
+            at = _searchsorted_composite(
+                arrs.keys, arrs.rids, target, right=False
+            )
+            pid = int(arrs.children[at])
         return pid
 
     def _descend_right(self, target: Composite) -> int:
         """Leaf that would contain the largest entry <= target."""
         assert self.root is not None
         pid = self.root
-        if self.columnar:
-            for _ in range(self.height - 1):
-                arrs = self._internal_arrays(pid)
-                obs.incr("btree.node_visits")
-                at = _searchsorted_composite(
-                    arrs.keys, arrs.rids, target, right=True
-                )
-                pid = int(arrs.children[at])
-            return pid
         for _ in range(self.height - 1):
-            node = self._read_internal(pid)
+            arrs = self._internal_arrays(pid)
             obs.incr("btree.node_visits")
-            pid = node.children[_bisect_right(node.seps, target)]
+            at = _searchsorted_composite(
+                arrs.keys, arrs.rids, target, right=True
+            )
+            pid = int(arrs.children[at])
         return pid
 
     def search(self, key: float) -> list[int]:
@@ -306,8 +269,7 @@ class BPlusTree:
         if from_key is None:
             pid = self.first_leaf
         else:
-            with obs.span("descend", tree=self.name, height=self.height,
-                          descent_vectorized=self.columnar):
+            with obs.span("descend", tree=self.name, height=self.height):
                 pid = self._descend_left((self.quantize(from_key), -1))
         while pid != NULL_PAGE:
             leaf = self._read_leaf(pid)
@@ -323,8 +285,7 @@ class BPlusTree:
         if from_key is None:
             pid = self.last_leaf
         else:
-            with obs.span("descend", tree=self.name, height=self.height,
-                          descent_vectorized=self.columnar):
+            with obs.span("descend", tree=self.name, height=self.height):
                 pid = self._descend_right((self.quantize(from_key), _MAX_RID))
         while pid != NULL_PAGE:
             leaf = self._read_leaf(pid)
@@ -344,37 +305,13 @@ class BPlusTree:
         the page cost of the single widest sweep instead of one descent
         and one overlapping sweep per query.
         """
-        if self.columnar:
-            return self._sweep_up_multi_columnar(starts)
-        qstarts = [self.quantize(s) for s in starts]
-        out = MultiSweep()
-        if self.root is None or not qstarts:
-            out.offsets = [0] * len(qstarts)
-            return out
-        lo = min(qstarts)
-        for visit in self.sweep_up(lo):
-            out.leaves += 1
-            obs.incr("comparisons", len(visit.leaf.keys))
-            for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                if key >= lo:
-                    out.keys.append(key)
-                    out.rids.append(rid)
-        out.offsets = [bisect.bisect_left(out.keys, q) for q in qstarts]
-        return out
-
-    def _sweep_up_multi_columnar(self, starts: Sequence[float]) -> MultiSweep:
-        """Vectorized :meth:`sweep_up_multi`: same descent, same leaf
-        chain (one counted read per leaf), but entries are gathered as
-        array segments and per-query offsets come from one
-        ``np.searchsorted`` over the merged key column."""
         out = MultiSweep()
         if self.root is None or len(starts) == 0:
             out.offsets = [0] * len(starts)
             return out
         qstarts = self.codec.quantize_many(starts)
         lo = float(qstarts.min())
-        with obs.span("descend", tree=self.name, height=self.height,
-                      descent_vectorized=True):
+        with obs.span("descend", tree=self.name, height=self.height):
             pid = self._descend_left((lo, -1))
         key_segs: list[np.ndarray] = []
         rid_segs: list[np.ndarray] = []
@@ -408,43 +345,13 @@ class BPlusTree:
         i-th query's entries are the suffix ``keys[offsets[i]:]`` of the
         *descending* entry list (its keys ``<= quantize(starts[i])``).
         """
-        if self.columnar:
-            return self._sweep_down_multi_columnar(starts)
-        qstarts = [self.quantize(s) for s in starts]
-        out = MultiSweep()
-        if self.root is None or not qstarts:
-            out.offsets = [0] * len(qstarts)
-            return out
-        hi = max(qstarts)
-        for visit in self.sweep_down(hi):
-            out.leaves += 1
-            obs.incr("comparisons", len(visit.leaf.keys))
-            for key, rid in zip(
-                reversed(visit.leaf.keys), reversed(visit.leaf.rids)
-            ):
-                if key <= hi:
-                    out.keys.append(key)
-                    out.rids.append(rid)
-        # Keys are descending: the suffix for start q begins at the first
-        # index whose key is <= q, found by bisecting the negated keys.
-        negated = [-k for k in out.keys]
-        out.offsets = [bisect.bisect_left(negated, -q) for q in qstarts]
-        return out
-
-    def _sweep_down_multi_columnar(
-        self, starts: Sequence[float]
-    ) -> MultiSweep:
-        """Vectorized :meth:`sweep_down_multi`: right-to-left chain walk
-        with reversed array segments; offsets bisect the negated
-        (ascending) key column, matching the scalar path exactly."""
         out = MultiSweep()
         if self.root is None or len(starts) == 0:
             out.offsets = [0] * len(starts)
             return out
         qstarts = self.codec.quantize_many(starts)
         hi = float(qstarts.max())
-        with obs.span("descend", tree=self.name, height=self.height,
-                      descent_vectorized=True):
+        with obs.span("descend", tree=self.name, height=self.height):
             pid = self._descend_right((hi, _MAX_RID))
         key_segs: list[np.ndarray] = []
         rid_segs: list[np.ndarray] = []
@@ -938,10 +845,9 @@ def _searchsorted_composite(
 ) -> int:
     """Vectorized composite bisect over parallel key/rid columns.
 
-    Equivalent to ``_bisect_left``/``_bisect_right`` on the zipped
-    ``(key, rid)`` pairs: the key column locates the equal-key run, the
-    rid column (int64, so sentinel targets -1 and ``0xFFFFFFFF`` compare
-    correctly) breaks the tie inside it.
+    Bisects the zipped ``(key, rid)`` pairs: the key column locates the
+    equal-key run, the rid column (int64, so sentinel targets -1 and
+    ``0xFFFFFFFF`` compare correctly) breaks the tie inside it.
     """
     key, rid = target
     lo = int(np.searchsorted(keys, key, side="left"))
@@ -950,18 +856,6 @@ def _searchsorted_composite(
         return lo
     side = "right" if right else "left"
     return lo + int(np.searchsorted(rids[lo:hi], rid, side=side))
-
-
-
-def _bisect_left(seps: Sequence[Composite], target: Composite) -> int:
-    lo, hi = 0, len(seps)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seps[mid] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _bisect_right(seps: Sequence[Composite], target: Composite) -> int:

@@ -56,8 +56,8 @@ Commands
     4-shard critical-path QPS beats 1-shard
     (see :mod:`repro.bench.shard_bench`).
 ``vector-bench [--out FILE --n N --size small|medium --k K --repeats R]``
-    Columnar-vs-scalar batch throughput on the fig9-medium slope-group
-    fan; asserts identical answers and page accounting, writes
+    Columnar batch throughput on the fig9-medium slope-group fan;
+    checks every answer against the exact oracle, writes
     ``BENCH_vector.json`` whose ``counters`` section feeds the CI
     QPS-floor gate (see :mod:`repro.bench.vector_bench`).
 ``tune --data-dir DIR (--queries FILE | --slope-log FILE) [--k K --apply --out DIR]``
@@ -398,12 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     vector_bench = sub.add_parser(
         "vector-bench",
-        help="columnar-vs-scalar batch QPS benchmark (BENCH_vector.json)",
+        help="columnar batch QPS benchmark (BENCH_vector.json)",
         description=(
-            "Benchmark the columnar B+-tree hot path against the scalar "
-            "engine on the fig9-medium slope-group fan batch. Answers "
-            "and page accounting are asserted identical between the two "
-            "engines (exit 1 on divergence). Writes BENCH_vector.json; "
+            "Benchmark the columnar B+-tree hot path on the fig9-medium "
+            "slope-group fan batch. Every answer is checked against the "
+            "exact oracle (exit 1 on divergence). Writes BENCH_vector.json; "
             "its counters section feeds `repro bench-diff --mode floor` "
             "in the CI QPS gate."
         ),
@@ -422,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="workload seed")
     vector_bench.add_argument(
         "--repeats", type=int, default=None,
-        help="timed attempts per engine (best-of; default 5)",
+        help="timed attempts (best-of; default 5)",
     )
 
     bench_diff = sub.add_parser(

@@ -28,7 +28,6 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.btree.columnar import columnar_default
 from repro.btree.tree import BPlusTree
 from repro.constraints.relation import GeneralizedRelation
 from repro.constraints.tuples import GeneralizedTuple
@@ -173,12 +172,6 @@ class DualIndex:
         answer-preserving (evicted keys are re-derived from the heap
         record on demand); the bound keeps memory flat under sustained
         update traffic.
-    columnar:
-        Forwarded to every B+-tree: True runs descents and merged sweeps
-        on cached numpy columns, False forces the legacy scalar path.
-        ``None`` (default) follows the ``REPRO_SCALAR`` environment gate
-        (see :mod:`repro.btree.columnar`). Answers and logical page
-        accounting are identical either way.
     """
 
     def __init__(
@@ -189,26 +182,20 @@ class DualIndex:
         dynamic: bool = False,
         name: str = "dual",
         keys_cache_entries: int = 65536,
-        columnar: bool | None = None,
     ) -> None:
         self.pager = pager if pager is not None else Pager()
         self.slopes = slopes if isinstance(slopes, SlopeSet) else SlopeSet(slopes)
         self.codec = key_codec if key_codec is not None else KeyCodec(4)
         self.dynamic = dynamic
         self.name = name
-        self.columnar = (
-            columnar_default() if columnar is None else bool(columnar)
-        )
         self.heap = HeapFile(self.pager)
         k = len(self.slopes)
         self.up = [
-            BPlusTree(self.pager, self.codec, AUX_SLOTS, f"{name}.up[{i}]",
-                      columnar=self.columnar)
+            BPlusTree(self.pager, self.codec, AUX_SLOTS, f"{name}.up[{i}]")
             for i in range(k)
         ]
         self.down = [
-            BPlusTree(self.pager, self.codec, AUX_SLOTS, f"{name}.down[{i}]",
-                      columnar=self.columnar)
+            BPlusTree(self.pager, self.codec, AUX_SLOTS, f"{name}.down[{i}]")
             for i in range(k)
         ]
         # Handicap directories: per slope, per side, one tree keyed by
@@ -221,12 +208,10 @@ class DualIndex:
                     if self.slopes.strip(i, side) is None:
                         continue
                     self.dir_top[i][side] = BPlusTree(
-                        self.pager, self.codec, 0, f"{name}.dirT[{i}.{side}]",
-                        columnar=self.columnar,
+                        self.pager, self.codec, 0, f"{name}.dirT[{i}.{side}]"
                     )
                     self.dir_bot[i][side] = BPlusTree(
-                        self.pager, self.codec, 0, f"{name}.dirB[{i}.{side}]",
-                        columnar=self.columnar,
+                        self.pager, self.codec, 0, f"{name}.dirB[{i}.{side}]"
                     )
         # Catalog: tuple id <-> heap RID (a real system's data dictionary),
         # plus a key cache so handicap maintenance does not have to fetch
@@ -613,8 +598,7 @@ class DualIndex:
         dynamic flag), the tuple↔RID catalog, per-tree shape state, heap
         bookkeeping, and the assignment-key extrema. Deliberately *not*
         persisted: ``keys_cache`` (re-derived from heap records on
-        miss), the lazy rid/tid LUTs (rebuilt on version), and the
-        ``columnar`` flag (an engine choice, re-decided at open time).
+        miss) and the lazy rid/tid LUTs (rebuilt on version).
         """
         return {
             "name": self.name,

@@ -89,12 +89,11 @@ class DualIndexPlanner:
         return seq
 
     @classmethod
-    def open(cls, data_dir: str,
-             columnar: bool | None = None) -> "DualIndexPlanner":
+    def open(cls, data_dir: str) -> "DualIndexPlanner":
         """Open a saved planner from disk without rebuilding."""
         from repro.storage.checkpoint import open_planner
 
-        return open_planner(data_dir, columnar=columnar)
+        return open_planner(data_dir)
 
     # ------------------------------------------------------------------
     # construction
@@ -112,15 +111,12 @@ class DualIndexPlanner:
         pivot_x: float = 0.0,
         workers: int = 0,
         name: str = "dual",
-        columnar: bool | None = None,
     ) -> "DualIndexPlanner":
         """Index a relation and return a ready planner.
 
         ``workers >= 2`` builds the key set on a process pool with
         vectorized per-worker evaluation (see :meth:`DualIndex.build`);
         the resulting index is byte-identical to a serial build.
-        ``columnar=False`` forces the scalar B+-tree path (answers and
-        page accounting are identical; used for differential testing).
         """
         index = DualIndex(
             pager=pager,
@@ -128,7 +124,6 @@ class DualIndexPlanner:
             key_codec=KeyCodec(key_bytes),
             dynamic=dynamic,
             name=name,
-            columnar=columnar,
         )
         index.build(relation, fill, workers=workers)
         return cls(index, technique=technique, pivot_x=pivot_x)
@@ -251,74 +246,26 @@ class DualIndexPlanner:
         return self._t1_path(query)
 
     def _exact_path(self, query: HalfPlaneQuery, slope_index: int) -> QueryResult:
+        """One sweep from the quantized start to the end of the leaf
+        chain (a single-start merged sweep), split into accepted/boundary
+        by one ``np.searchsorted``."""
         trees, upward = self.index.trees_for(query.query_type, query.theta)
         tree = trees[slope_index]
         margin = self.index.margin(query.intercept)
-        if tree.columnar:
-            return self._exact_path_columnar(query, tree, upward, margin)
-        accepted: set[int] = set()
-        boundary: set[int] = set()
-        with obs.span("sweep.exact", tree=tree.name, path="scalar"):
-            if upward:
-                start = tree.quantize(query.intercept - margin)
-                accept_from = tree.quantize(query.intercept + margin)
-                for visit in tree.sweep_up(start):
-                    obs.incr("comparisons", len(visit.leaf.keys))
-                    for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                        if key >= accept_from:
-                            accepted.add(rid)
-                        elif key >= start:
-                            boundary.add(rid)
-            else:
-                start = tree.quantize(query.intercept + margin)
-                accept_to = tree.quantize(query.intercept - margin)
-                for visit in tree.sweep_down(start):
-                    obs.incr("comparisons", len(visit.leaf.keys))
-                    for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                        if key <= accept_to:
-                            accepted.add(rid)
-                        elif key <= start:
-                            boundary.add(rid)
-        result = QueryResult(technique="exact")
-        result.accepted_without_refinement = len(accepted)
-        result.candidates = len(accepted) + len(boundary)
-        result.ids = {self.index.tid_of[rid] for rid in accepted}
-        confirmed, false_hits, pages = self._refine(query, boundary)
-        result.ids |= confirmed
-        result.false_hits = false_hits
-        result.refinement_pages = pages
-        return result
-
-    def _exact_path_columnar(
-        self,
-        query: HalfPlaneQuery,
-        tree,
-        upward: bool,
-        margin: float,
-    ) -> QueryResult:
-        """Columnar exact path: one merged sweep (single start) plus one
-        ``np.searchsorted`` split into accepted/boundary.
-
-        Page-identical to the scalar exact path: the scalar sweep also
-        runs from its quantized start to the end of the leaf chain, so
-        descent target, leaves read, and counters all match; only the
-        per-entry Python classification is replaced by the array split.
-        """
-        with obs.span("sweep.exact", tree=tree.name, path="columnar"):
+        with obs.span("sweep.exact", tree=tree.name):
             if upward:
                 accept_key = tree.quantize(query.intercept + margin)
                 sweep = tree.sweep_up_multi([query.intercept - margin])
-            else:
-                accept_key = tree.quantize(query.intercept - margin)
-                sweep = tree.sweep_down_multi([query.intercept + margin])
-            keys, rids = sweep.arrays()
-            if upward:
-                split = int(np.searchsorted(keys, accept_key, side="left"))
+                split = int(np.searchsorted(sweep.keys, accept_key, side="left"))
             else:
                 # Descending keys: accepted are keys <= accept_key.
-                split = int(np.searchsorted(-keys, -accept_key, side="left"))
-            accepted = rids[split:]
-            boundary = rids[:split]
+                accept_key = tree.quantize(query.intercept - margin)
+                sweep = tree.sweep_down_multi([query.intercept + margin])
+                split = int(
+                    np.searchsorted(-sweep.keys, -accept_key, side="left")
+                )
+            accepted = sweep.rids[split:]
+            boundary = sweep.rids[:split]
         result = QueryResult(technique="exact")
         result.accepted_without_refinement = int(accepted.size)
         result.candidates = int(accepted.size + boundary.size)

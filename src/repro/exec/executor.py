@@ -210,14 +210,7 @@ class BatchExecutor:
 
         # 4. One shared refinement fetch for every boundary candidate of
         # every exact group, pages pinned while the verify loop runs.
-        boundary_rids: set[int] = set()
-        for _leaves, partials in sweeps:
-            for _position, _query, _accepted, boundary in partials:
-                if isinstance(boundary, np.ndarray):
-                    boundary_rids.update(boundary.tolist())
-                else:
-                    boundary_rids.update(boundary)
-        decoded = self._fetch_boundary(boundary_rids, batch)
+        decoded = self._fetch_boundary(_boundary_union(sweeps), batch)
 
         # 5. Per-query verify + assemble, exactly the sequential
         # refinement predicate on exactly the sequential boundary set.
@@ -309,7 +302,6 @@ class BatchExecutor:
     ) -> None:
         from repro.exec.partials import TECH_VECTOR
 
-        empty = np.empty(0, dtype=np.int64)
         # 1. Intra-batch duplicates execute once (same dedup as
         # `_execute`, so sweeps and page accounting are identical); the
         # result cache is not consulted — fan-out workers answer cold.
@@ -332,15 +324,8 @@ class BatchExecutor:
         out.vector_groups = len(vector_groups)
 
         sweeps = self._map_groups(self._sweep_group, exact_groups)
-        boundary_rids: set[int] = set()
-        for _leaves, partials in sweeps:
-            for _position, _query, _accepted, boundary in partials:
-                if isinstance(boundary, np.ndarray):
-                    boundary_rids.update(boundary.tolist())
-                else:
-                    boundary_rids.update(boundary)
         scratch = BatchResult()
-        decoded = self._fetch_boundary(boundary_rids, scratch)
+        decoded = self._fetch_boundary(_boundary_union(sweeps), scratch)
         out.refinement_pages = scratch.refinement_pages
 
         scratch_result = QueryResult()
@@ -349,34 +334,19 @@ class BatchExecutor:
             for position, query, accepted, boundary in partials:
                 out.candidates[position] = len(accepted) + len(boundary)
                 out.accepted_without_refinement[position] = len(accepted)
-                if isinstance(accepted, np.ndarray):
-                    columns[position] = self.index.tids_for_rids(accepted)
-                    boundary_list = boundary.tolist()
-                    if boundary_list:
-                        out.refinement_pages_q[position] = int(
-                            rid_pages(boundary).size
-                        )
-                else:
-                    # Scalar-path partials are Python sets: the tids ride
-                    # in the extras set, the array column stays empty.
-                    tid_of = self.index.tid_of
-                    out.extras[position] = {tid_of[rid] for rid in accepted}
-                    columns[position] = empty
-                    boundary_list = boundary
-                    out.refinement_pages_q[position] = len(
-                        {unpack_rid(rid)[0] for rid in boundary}
-                    )
+                columns[position] = self.index.tids_for_rids(accepted)
+                boundary_list = boundary.tolist()
                 if boundary_list:
+                    out.refinement_pages_q[position] = int(
+                        rid_pages(boundary).size
+                    )
                     scratch_result.false_hits = 0
                     confirmed = self._verify_boundary(
                         query, boundary_list, decoded, scratch_result
                     )
                     out.false_hits[position] = scratch_result.false_hits
                     if confirmed:
-                        if out.extras[position] is None:
-                            out.extras[position] = confirmed
-                        else:
-                            out.extras[position] |= confirmed
+                        out.extras[position] = confirmed
 
         for group in vector_groups:
             surface = self._surface_for(version)
@@ -411,16 +381,18 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     def _sweep_group(
         self, group: ExactGroup
-    ) -> tuple[int, list[tuple[int, HalfPlaneQuery, set[int], set[int]]]]:
-        """One shared descent + merged sweep; classify entries per query.
+    ) -> tuple[int, list[tuple[int, HalfPlaneQuery, np.ndarray, np.ndarray]]]:
+        """One shared descent + merged sweep, split per query.
 
         Returns ``(leaf pages swept, partials)`` where each partial is
         ``(original position, query, accepted rids, boundary rids)`` —
         the same two candidate sets the sequential exact path builds
-        with its own sweep (same quantized start and accept boundaries).
-        On the columnar path accepted/boundary are int64 numpy arrays
-        (one ``np.searchsorted`` split per query over the shared sweep);
-        on the scalar path they are Python sets built entry by entry.
+        with its own sweep (same quantized start and accept boundaries),
+        as int64 arrays. A query's entries are the suffix
+        ``keys[offsets[j]:]`` of the shared sweep and its accept
+        boundary lands at one ``searchsorted`` index, so accepted is
+        ``rids[split:]`` and boundary ``rids[offsets[j]:split]`` (the
+        sweep keys run toward the accept region in both directions).
         """
         theta = group.queries[0].theta
         trees, upward = self.index.trees_for(group.query_type, theta)
@@ -442,60 +414,22 @@ class BatchExecutor:
                 tree.quantize(q.intercept - m)
                 for q, m in zip(group.queries, margins)
             ]
-        path = "columnar" if tree.columnar else "scalar"
         with self._io_lock, obs.span(
-            "sweep.batch", tree=tree.name, queries=len(group), path=path
+            "sweep.batch", tree=tree.name, queries=len(group)
         ):
             sweep = (
                 tree.sweep_up_multi(starts)
                 if upward
                 else tree.sweep_down_multi(starts)
             )
-        if tree.columnar:
-            return sweep.leaves, self._classify_columnar(
-                group, sweep, accepts, upward
-            )
-        partials = []
-        for j, (position, query) in enumerate(
-            zip(group.indices, group.queries)
-        ):
-            keys, rids = sweep.entries_for(j)
-            accepted: set[int] = set()
-            boundary: set[int] = set()
-            accept_key = accepts[j]
-            if upward:
-                for key, rid in zip(keys, rids):
-                    if key >= accept_key:
-                        accepted.add(rid)
-                    else:
-                        boundary.add(rid)
-            else:
-                for key, rid in zip(keys, rids):
-                    if key <= accept_key:
-                        accepted.add(rid)
-                    else:
-                        boundary.add(rid)
-            partials.append((position, query, accepted, boundary))
-        return sweep.leaves, partials
-
-    def _classify_columnar(self, group, sweep, accepts, upward):
-        """Array split of one merged sweep into per-query partials.
-
-        A query's entries are the suffix ``keys[offsets[j]:]``; the
-        accept boundary lands at one ``searchsorted`` index, so accepted
-        is ``rids[split:]`` and boundary ``rids[offsets[j]:split]`` —
-        the same membership the scalar per-entry loop produces (the
-        sweep keys are sorted toward the accept region in both
-        directions).
-        """
-        keys, rids = sweep.arrays()
         # Ascending comparison space: up-sweeps accept keys >= accept,
         # down-sweeps (descending keys) accept keys <= accept.
-        base = keys if upward else -keys
+        base = sweep.keys if upward else -sweep.keys
         probes = np.asarray(accepts, dtype=np.float64)
         if not upward:
             probes = -probes
         splits = np.searchsorted(base, probes, side="left")
+        rids = sweep.rids
         partials = []
         for j, (position, query) in enumerate(
             zip(group.indices, group.queries)
@@ -505,7 +439,7 @@ class BatchExecutor:
             partials.append(
                 (position, query, rids[split:], rids[at:split])
             )
-        return partials
+        return sweep.leaves, partials
 
     def _fetch_boundary(
         self, boundary_rids: set[int], batch: BatchResult
@@ -530,23 +464,15 @@ class BatchExecutor:
         result = QueryResult(technique="exact")
         result.accepted_without_refinement = len(accepted)
         result.candidates = len(accepted) + len(boundary)
-        if isinstance(accepted, np.ndarray):
-            # Columnar partial: vectorized rid -> tid translation, the
-            # answer handed over as a lazy tid column (set membership is
-            # identical to the scalar path, materialised on access).
-            tids = self.index.tids_for_rids(accepted)
-            if not len(boundary):
-                result.set_lazy_ids(tids)
-                return result
-            result.refinement_pages = int(rid_pages(boundary).size)
-            extra = self._verify_boundary(query, boundary.tolist(), decoded, result)
-            result.set_lazy_ids(tids, extra)
+        # Vectorized rid -> tid translation, the answer handed over as a
+        # lazy tid column (materialised as a set on access).
+        tids = self.index.tids_for_rids(accepted)
+        if not len(boundary):
+            result.set_lazy_ids(tids)
             return result
-        result.ids = {self.index.tid_of[rid] for rid in accepted}
-        result.refinement_pages = len(
-            {unpack_rid(rid)[0] for rid in boundary}
-        )
-        result.ids |= self._verify_boundary(query, boundary, decoded, result)
+        result.refinement_pages = int(rid_pages(boundary).size)
+        extra = self._verify_boundary(query, boundary.tolist(), decoded, result)
+        result.set_lazy_ids(tids, extra)
         return result
 
     def _verify_boundary(
@@ -655,3 +581,12 @@ def _trace_meta() -> dict:
     (empty when no request context is installed — the common case)."""
     ctx = tracer.context()
     return {"trace": ctx.trace_id} if ctx is not None else {}
+
+
+def _boundary_union(sweeps) -> set[int]:
+    """Every boundary rid of every exact group's partials."""
+    rids: set[int] = set()
+    for _leaves, partials in sweeps:
+        for _position, _query, _accepted, boundary in partials:
+            rids.update(boundary.tolist())
+    return rids

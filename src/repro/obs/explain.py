@@ -47,11 +47,8 @@ class ExplainReport:
     total_pages: int = 0
     buffer_hits: int = 0
     buffer_misses: int = 0
-    #: ``index name -> {"pages", "queries", "path"}`` rows (shards appear
-    #: as ``shard0``, ``shard1``, … via the planner's ``index=`` span
-    #: meta). ``path`` says which sweep/descent implementation served the
-    #: row — ``columnar``, ``scalar``, ``columnar+scalar`` when mixed, or
-    #: ``-`` when no sweep/descent span carried path metadata.
+    #: ``index name -> {"pages", "queries"}`` rows (shards appear as
+    #: ``shard0``, ``shard1``, … via the planner's ``index=`` span meta).
     index_rows: dict[str, dict] = field(default_factory=dict)
     #: ``tree name -> deepest descent height`` observed.
     descent_heights: dict[str, int] = field(default_factory=dict)
@@ -91,27 +88,10 @@ def _analyze(root: Span, results: list, cache_hits: int = 0,
     for node in root.walk():
         if node.phase in ("query", "batch") and "index" in node.meta:
             row = report.index_rows.setdefault(
-                node.meta["index"], {"pages": 0, "queries": 0, "path": "-"}
+                node.meta["index"], {"pages": 0, "queries": 0}
             )
             row["pages"] += node.inclusive_pages()
             row["queries"] += 1
-            # Which hot path served this row: sweep spans carry
-            # path="columnar"|"scalar", descents carry the
-            # descent_vectorized flag.
-            paths = set()
-            for sub in node.walk():
-                if "path" in sub.meta:
-                    paths.add(str(sub.meta["path"]))
-                elif "descent_vectorized" in sub.meta:
-                    # Span meta values are stringified at record time.
-                    vectorized = (
-                        str(sub.meta["descent_vectorized"]).lower() == "true"
-                    )
-                    paths.add("columnar" if vectorized else "scalar")
-            if paths:
-                if row["path"] != "-":
-                    paths |= set(row["path"].split("+"))
-                row["path"] = "+".join(sorted(paths))
         if node.phase == "descend" and "height" in node.meta:
             tree = node.meta.get("tree", "?")
             height = int(node.meta["height"])
@@ -180,7 +160,6 @@ def render_explain(report: ExplainReport) -> str:
             lines.append(
                 f"  {name:<12s} {row['pages']:6d} pages"
                 f"  {row['queries']:4d} queries"
-                f"  path={row.get('path', '-')}"
             )
     if report.descent_heights:
         lines.append("")

@@ -125,7 +125,6 @@ class ServeConfig:
     read_timeout: float = 5.0
     #: WAL size that triggers an automatic checkpoint after a mutation.
     wal_checkpoint_bytes: int = 4 << 20
-    columnar: bool | None = None
     #: Online slope-set tuning (``--auto-tune``): periodically learn a
     #: slope set from the served traffic's slope log and, when the cost
     #: model predicts a real win, rebuild on a background thread and
@@ -328,8 +327,7 @@ class ReproServer:
             "serve", "start", host=self.config.host, port=self.port)
 
     def _open_engine(self):
-        return open_engine(self.config.data_dir,
-                           columnar=self.config.columnar)
+        return open_engine(self.config.data_dir)
 
     def _note_engine_swap(self) -> None:
         """Refresh what slow-log entries record about engine identity
@@ -532,7 +530,7 @@ class ReproServer:
 
             def _persist():
                 fresh.save(out_dir)
-                return open_engine(out_dir, columnar=self.config.columnar)
+                return open_engine(out_dir)
 
             fresh = await loop.run_in_executor(None, _persist)
 

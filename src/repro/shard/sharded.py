@@ -137,13 +137,12 @@ class ShardedDualIndex:
     def open(
         cls,
         data_dir: str,
-        columnar: bool | None = None,
         fanout: str | None = None,
     ) -> "ShardedDualIndex":
         """Open a saved sharded engine from its manifest."""
         from repro.storage.checkpoint import open_sharded
 
-        return open_sharded(data_dir, columnar=columnar, fanout=fanout)
+        return open_sharded(data_dir, fanout=fanout)
 
     # ------------------------------------------------------------------
     # construction
@@ -161,15 +160,12 @@ class ShardedDualIndex:
         pivot_x: float = 0.0,
         pager_factory: Callable[[int], Pager] | None = None,
         registry: MetricsRegistry | None = None,
-        columnar: bool | None = None,
         fanout: str = "thread",
     ) -> "ShardedDualIndex":
         """Partition ``relation`` into ``shards`` sub-relations by tuple
         id and build one full planner per shard (each with its own
         pager unless ``pager_factory`` supplies them). ``workers`` is
-        forwarded to every shard's parallel build path, ``columnar`` to
-        every shard's B+-tree forest (default: the process-wide
-        :func:`repro.btree.columnar_default`).
+        forwarded to every shard's parallel build path.
         """
         if shards < 1:
             raise IndexError_("shards must be >= 1")
@@ -193,7 +189,6 @@ class ShardedDualIndex:
                         pivot_x=pivot_x,
                         workers=workers,
                         name=f"shard{n}",
-                        columnar=columnar,
                     )
                 )
         return cls(planners, registry=registry, fanout=fanout)

@@ -222,8 +222,7 @@ def _raw_page(disk, pid: int) -> bytes:
     return image if image is not None else disk._read_raw(pid)
 
 
-def open_planner(data_dir: str, columnar: bool | None = None,
-                 buffer_frames: int = 0):
+def open_planner(data_dir: str, buffer_frames: int = 0):
     """Open a saved planner from disk without rebuilding.
 
     Reads the newest valid catalog, then opens the page file with WAL
@@ -251,7 +250,6 @@ def open_planner(data_dir: str, columnar: bool | None = None,
         key_codec=KeyCodec(state["key_bytes"]),
         dynamic=state["dynamic"],
         name=state["name"],
-        columnar=columnar,
     )
     index.restore_catalog(state)
     planner = DualIndexPlanner(index, technique=payload["technique"],
@@ -311,8 +309,7 @@ def save_sharded(engine, data_dir: str) -> None:
     }, 0)
 
 
-def open_sharded(data_dir: str, columnar: bool | None = None,
-                 fanout: str | None = None):
+def open_sharded(data_dir: str, fanout: str | None = None):
     """Open a saved :class:`ShardedDualIndex` from its manifest."""
     from repro.shard.sharded import ShardedDualIndex
 
@@ -322,7 +319,7 @@ def open_sharded(data_dir: str, columnar: bool | None = None,
             f"{data_dir} holds a {payload.get('kind')!r} catalog, "
             "expected 'sharded'")
     planners = [
-        open_planner(os.path.join(data_dir, f"shard-{n}"), columnar=columnar)
+        open_planner(os.path.join(data_dir, f"shard-{n}"))
         for n in range(payload["shards"])
     ]
     return ShardedDualIndex(
@@ -340,9 +337,9 @@ def save_engine(engine, data_dir: str) -> None:
         save_planner(engine, data_dir)
 
 
-def open_engine(data_dir: str, columnar: bool | None = None):
+def open_engine(data_dir: str):
     """Open whatever engine kind ``data_dir``'s catalog names."""
     payload, _seq, _generation = read_catalog(data_dir)
     if payload.get("kind") == "sharded":
-        return open_sharded(data_dir, columnar=columnar)
-    return open_planner(data_dir, columnar=columnar)
+        return open_sharded(data_dir)
+    return open_planner(data_dir)

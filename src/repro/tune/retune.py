@@ -136,7 +136,6 @@ def rebuild_planner(
         pivot_x=planner.pivot_x,
         workers=workers,
         name=planner.index.name,
-        columnar=planner.index.columnar,
     )
     registry = get_registry()
     registry.counter(
@@ -152,7 +151,6 @@ def apply_tune(
     data_dir: str,
     out_dir: str,
     slopes: SlopeSet | Sequence[float],
-    columnar: bool | None = None,
 ) -> DualIndexPlanner:
     """Offline ``repro tune --apply``: open the durable engine in
     ``data_dir``, rebuild it under ``slopes``, and save the result as a
@@ -166,7 +164,7 @@ def apply_tune(
             "apply_tune writes a new data-dir; out_dir must differ from "
             "data_dir (rollback = keep using the old directory)"
         )
-    source = open_planner(data_dir, columnar=columnar)
+    source = open_planner(data_dir)
     try:
         rebuilt = rebuild_planner(source, slopes)
         rebuilt.save(out_dir)

@@ -235,18 +235,6 @@ def run_checks(
     batch_hot = t2.query_batch(list(queries))
     sharded = ShardedDualIndex.build(relation, slopes, shards=2)
     sharded_batch = sharded.query_batch(list(queries))
-    # Vectorized-vs-scalar differential: the columnar hot path must be a
-    # faster arrangement of the *same* computation, so both engines are
-    # registered explicitly (ignoring the REPRO_SCALAR default) and their
-    # per-query answers AND accounting are required to be bit-identical.
-    scalar_engine = DualIndexPlanner.build(
-        relation, slopes, technique="T2", columnar=False
-    )
-    columnar_engine = DualIndexPlanner.build(
-        relation, slopes, technique="T2", columnar=True
-    )
-    scalar_batch = scalar_engine.query_batch(list(queries))
-    columnar_batch = columnar_engine.query_batch(list(queries))
     # Served engine: the same queries through a real localhost server
     # socket — framing, envelope validation, coalescing, and the engine
     # thread all sit between the question and the answer, and none of
@@ -297,25 +285,11 @@ def run_checks(
             "batch-hot": batch_hot.results[position].ids,
             "sharded": sharded.query(q).ids,
             "sharded-batch": sharded_batch.results[position].ids,
-            "batch-scalar": scalar_batch.results[position].ids,
-            "batch-columnar": columnar_batch.results[position].ids,
             "served-cold": served_cold[position],
             "served-hot": served_hot[position],
         }
         if tuned is not None:
             answers["tuned"] = tuned.query(q).ids
-        comparisons += 1
-        scalar_acc = _accounting(scalar_batch.results[position])
-        columnar_acc = _accounting(columnar_batch.results[position])
-        if scalar_acc != columnar_acc:
-            findings.append(
-                {
-                    "kind": "accounting-divergence",
-                    "query": query_to_json(q),
-                    "scalar": scalar_acc,
-                    "columnar": columnar_acc,
-                }
-            )
         if obs.current() is None:
             # Explain-instrumented path: the same query under a trace
             # with checked attribution must never change the answer
@@ -363,26 +337,6 @@ def run_checks(
                     }
                 )
 
-    comparisons += 1
-    if (
-        scalar_batch.io.logical_reads != columnar_batch.io.logical_reads
-        or scalar_batch.io.logical_writes != columnar_batch.io.logical_writes
-    ):
-        findings.append(
-            {
-                "kind": "accounting-divergence",
-                "scope": "batch",
-                "scalar": {
-                    "logical_reads": scalar_batch.io.logical_reads,
-                    "logical_writes": scalar_batch.io.logical_writes,
-                },
-                "columnar": {
-                    "logical_reads": columnar_batch.io.logical_reads,
-                    "logical_writes": columnar_batch.io.logical_writes,
-                },
-            }
-        )
-
     sharded.close()
     if check_invariants:
         try:
@@ -395,19 +349,6 @@ def run_checks(
 
     _COMPARISONS.append(comparisons)
     return findings
-
-
-def _accounting(result) -> dict:
-    """The per-query counters the scalar/columnar engines must agree on."""
-    return {
-        "candidates": result.candidates,
-        "false_hits": result.false_hits,
-        "duplicates": result.duplicates,
-        "accepted_without_refinement": result.accepted_without_refinement,
-        "refinement_pages": result.refinement_pages,
-        "logical_reads": result.io.logical_reads,
-        "logical_writes": result.io.logical_writes,
-    }
 
 
 #: Side-channel tallies run_checks leaves for the runner (reset per call

@@ -61,14 +61,12 @@ def replay_slowlog_case(data: dict) -> list[dict]:
     return replay_entry(
         entry,
         data_dir=data.get("data_dir"),
-        columnar=data.get("columnar"),
     )
 
 
 def replay_entry(
     entry: SlowLogEntry,
     data_dir: str | None = None,
-    columnar: bool | None = None,
     engine=None,
 ) -> list[dict]:
     """Re-run one entry's query cold; return divergence findings.
@@ -94,7 +92,7 @@ def replay_entry(
                 "reason": "no data_dir recorded or given "
                           "(in-memory engines cannot be reopened)",
             }]
-        engine = open_engine(resolved, columnar=columnar)
+        engine = open_engine(resolved)
         owns_engine = True
     try:
         planner = engine.planners[0] if hasattr(engine, "planners") \

@@ -1,4 +1,4 @@
-"""vector-bench: payload shape, engine parity, and the CI floor wiring."""
+"""vector-bench: payload shape, oracle gate, and the CI floor wiring."""
 
 import json
 
@@ -8,20 +8,16 @@ from repro.bench.diff import diff_counters, load_counters
 
 class TestRunBench:
     def test_small_workload_payload(self, tmp_path):
-        # Tiny workload: the point here is parity + shape, not timing.
+        # Tiny workload: the point here is oracle parity + shape, not timing.
         payload = vector_bench.run_bench(
             n=120, size="small", k=3, seed=5, repeats=1, width=3
         )
-        assert payload["answers_identical"] is True
-        assert payload["pages_identical"] is True
+        assert payload["mismatches"] == []
         assert payload["workload"]["queries"] == 3 * 3 * 4
-        engines = {row["engine"] for row in payload["engines"]}
-        assert engines == {"scalar", "columnar"}
-        assert payload["speedup_vs_scalar"] > 0
+        assert payload["page_accesses"] > 0
+        assert payload["qps"] > 0
         # The counters section is what bench-diff --mode floor consumes.
-        assert set(payload["counters"]) >= {
-            "qps_scalar", "qps_columnar", "speedup_vs_scalar",
-        }
+        assert set(payload["counters"]) == {"qps_columnar"}
         out = tmp_path / "BENCH_vector.json"
         out.write_text(json.dumps(payload))
         counters = load_counters(str(out))
@@ -34,9 +30,20 @@ class TestRunBench:
              "--repeats", "1", "--width", "2"]
         )
         assert code == 0
-        assert "answers identical: True" in capsys.readouterr().out
+        assert "answers vs oracle: 0 mismatches" in capsys.readouterr().out
         doc = json.loads(out.read_text())
-        assert doc["answers_identical"] and doc["pages_identical"]
+        assert doc["mismatches"] == []
+
+    def test_main_exits_one_on_oracle_mismatch(self, tmp_path, monkeypatch):
+        # An oracle that disagrees with every answer must trip the gate.
+        monkeypatch.setattr(
+            vector_bench, "evaluate_relation", lambda *args: {-1}
+        )
+        code = vector_bench.main(
+            ["--out", str(tmp_path / "v.json"), "--n", "60", "--size",
+             "small", "--repeats", "1", "--width", "1"]
+        )
+        assert code == 1
 
     def test_counters_floor_gate_round_trip(self, tmp_path):
         payload = vector_bench.run_bench(

@@ -1,17 +1,22 @@
-"""Columnar node codecs and vectorized descent vs the scalar path.
+"""Columnar node codecs and the vectorized descent/sweep read path.
 
-Satellite coverage for the columnar hot path: array (de)serialization
-round-trips must carry exactly what the scalar decoders carry, and
-``np.searchsorted`` descent must agree with the scalar per-entry walk on
-the degenerate shapes where off-by-ones live — empty trees, a single
-leaf, long duplicate-key runs, and start keys that hit stored keys
-exactly.
+Array (de)serialization round-trips must carry exactly what the list
+decoders carry, and ``np.searchsorted`` descent plus merged sweeps must
+agree with a scalar reference model — the sorted inserted ``(key, rid)``
+list, bisected entry by entry in plain Python — on the degenerate
+shapes where off-by-ones live: empty trees, a single leaf, long
+duplicate-key runs, and start keys that hit stored keys exactly. Page
+counts are checked against a walk of the per-leaf ``sweep_up`` /
+``sweep_down`` iterators.
 """
+
+import bisect
 
 import numpy as np
 import pytest
 
 from repro.btree import BPlusTree
+from repro.btree import columnar as columnar_mod
 from repro.btree.columnar import ColumnarCache
 from repro.btree.node import LeafNode, InternalNode, NodeLayout
 from repro.storage import KeyCodec, Pager
@@ -21,18 +26,41 @@ def make_layout(key_bytes=8, aux_slots=0, page_size=256):
     return NodeLayout(page_size, KeyCodec(key_bytes), aux_slots)
 
 
-def tree_pair(entries, key_bytes=8, aux_slots=0, page_size=256):
-    """(scalar tree, columnar tree) loaded with the same entries."""
-    trees = []
-    for columnar in (False, True):
-        tree = BPlusTree(
-            Pager(page_size=page_size), KeyCodec(key_bytes), aux_slots,
-            columnar=columnar,
-        )
-        for key, rid in entries:
-            tree.insert(key, rid)
-        trees.append(tree)
-    return trees
+def make_tree(entries, key_bytes=8, page_size=256):
+    """A tree loaded by inserting ``entries`` one at a time."""
+    tree = BPlusTree(Pager(page_size=page_size), KeyCodec(key_bytes))
+    for key, rid in entries:
+        tree.insert(key, rid)
+    return tree
+
+
+def scalar_search(entries, key):
+    """Reference ``search``: rids under exactly ``key``, in rid order."""
+    return [rid for k, rid in sorted(entries) if k == key]
+
+
+def scalar_multi_sweep(entries, starts, upward):
+    """Reference merged sweep: ``(keys, rids, offsets)`` in sweep order.
+
+    Up-sweeps collect every entry ``>= min(starts)`` ascending, and the
+    i-th start's suffix begins at its first key ``>= starts[i]``;
+    down-sweeps mirror that with descending keys ``<= max(starts)``.
+    """
+    ordered = sorted(entries)
+    if not ordered or not starts:
+        return [], [], [0] * len(starts)
+    if upward:
+        lo = min(starts)
+        kept = [(k, r) for k, r in ordered if k >= lo]
+        keys = [k for k, _ in kept]
+        offsets = [bisect.bisect_left(keys, q) for q in starts]
+    else:
+        hi = max(starts)
+        kept = [(k, r) for k, r in reversed(ordered) if k <= hi]
+        keys = [k for k, _ in kept]
+        negated = [-k for k in keys]
+        offsets = [bisect.bisect_left(negated, -q) for q in starts]
+    return keys, [r for _, r in kept], offsets
 
 
 class TestArrayRoundTrips:
@@ -111,9 +139,10 @@ class TestColumnarCache:
         cache.invalidate(7)
         assert cache.leaf(7, data) is not first
 
-    def test_capacity_evicts_without_changing_answers(self):
+    def test_capacity_evicts_without_changing_answers(self, monkeypatch):
         layout = make_layout()
-        cache = ColumnarCache(layout, capacity=2)
+        monkeypatch.setattr(columnar_mod, "CACHE_CAPACITY", 2)
+        cache = ColumnarCache(layout)
         images = {
             pid: layout.encode_leaf(LeafNode(keys=[float(pid)], rids=[pid]))
             for pid in range(5)
@@ -149,57 +178,54 @@ def starts_for(entries):
 class TestDescentParity:
     def test_search_matches_scalar(self, case):
         entries = DEGENERATE_CASES[case]
-        scalar, columnar = tree_pair(entries)
+        tree = make_tree(entries)
         for key in starts_for(entries):
-            assert columnar.search(key) == scalar.search(key), key
-        columnar.check_invariants()
+            assert tree.search(key) == scalar_search(entries, key), key
+        tree.check_invariants()
 
     def test_multi_sweeps_match_scalar(self, case):
         entries = DEGENERATE_CASES[case]
-        scalar, columnar = tree_pair(entries)
+        tree = make_tree(entries)
         starts = starts_for(entries)
-        for method in ("sweep_up_multi", "sweep_down_multi"):
-            got = getattr(columnar, method)(starts)
-            want = getattr(scalar, method)(starts)
-            gk, gr = got.arrays()
-            wk, wr = want.arrays()
-            assert gk.tolist() == wk.tolist(), method
-            assert gr.tolist() == wr.tolist(), method
-            assert list(got.offsets) == list(want.offsets), method
-            assert got.leaves == want.leaves, method
-            for i in range(len(starts)):
-                assert got.entries_for(i) == want.entries_for(i)
+        for method, upward in (("sweep_up_multi", True),
+                               ("sweep_down_multi", False)):
+            got = getattr(tree, method)(starts)
+            keys, rids, offsets = scalar_multi_sweep(entries, starts, upward)
+            assert got.keys.tolist() == keys, method
+            assert got.rids.tolist() == rids, method
+            assert list(got.offsets) == offsets, method
+            for i, at in enumerate(offsets):
+                assert got.entries_for(i) == (keys[at:], rids[at:])
 
     def test_page_accounting_bit_identical(self, case):
+        # One merged sweep costs exactly one descent plus the leaf walk
+        # that sweep_up/sweep_down from its widest start performs — for
+        # the whole probe set and for every probe on its own.
         entries = DEGENERATE_CASES[case]
-        scalar, columnar = tree_pair(entries)
+        tree = make_tree(entries)
         starts = starts_for(entries)
-        counts = []
-        for tree in (scalar, columnar):
-            before = tree.pager.stats.logical_reads
-            tree.sweep_up_multi(starts)
-            tree.sweep_down_multi(starts)
-            for key in starts:
-                tree.search(key)
-            counts.append(tree.pager.stats.logical_reads - before)
-        assert counts[0] == counts[1]
+        stats = tree.pager.stats
+        for group in [starts] + [[s] for s in starts]:
+            for method, walk, widest in (
+                ("sweep_up_multi", tree.sweep_up, min(group)),
+                ("sweep_down_multi", tree.sweep_down, max(group)),
+            ):
+                before = stats.logical_reads
+                leaves = sum(1 for _ in walk(widest))
+                walk_pages = stats.logical_reads - before
+                before = stats.logical_reads
+                got = getattr(tree, method)(group)
+                assert stats.logical_reads - before == walk_pages, method
+                assert got.leaves == leaves, method
 
 
 class TestWriteInvalidation:
     def test_insert_after_read_is_visible(self):
         # A cached decoded page must never mask a subsequent write.
-        _, columnar = tree_pair([(float(i), i) for i in range(50)])
-        assert columnar.search(25.0) == [25]
-        columnar.insert(25.0, 999)
-        assert sorted(columnar.search(25.0)) == [25, 999]
-        columnar.delete(25.0, 25)
-        assert columnar.search(25.0) == [999]
-        columnar.check_invariants()
-
-    def test_scalar_env_forces_scalar_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR", "1")
-        tree = BPlusTree(Pager(page_size=256), KeyCodec(8))
-        assert tree.columnar is False
-        monkeypatch.delenv("REPRO_SCALAR")
-        tree = BPlusTree(Pager(page_size=256), KeyCodec(8))
-        assert tree.columnar is True
+        tree = make_tree([(float(i), i) for i in range(50)])
+        assert tree.search(25.0) == [25]
+        tree.insert(25.0, 999)
+        assert sorted(tree.search(25.0)) == [25, 999]
+        tree.delete(25.0, 25)
+        assert tree.search(25.0) == [999]
+        tree.check_invariants()

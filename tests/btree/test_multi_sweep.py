@@ -59,14 +59,14 @@ def test_merged_sweep_costs_no_more_than_widest_query(loaded):
 def test_empty_tree():
     tree = small_tree()
     ms = tree.sweep_up_multi([1.0, 2.0])
-    assert ms.keys == [] and ms.offsets == [0, 0] and ms.leaves == 0
+    assert ms.keys.size == 0 and ms.offsets == [0, 0] and ms.leaves == 0
     ms = tree.sweep_down_multi([1.0])
     assert ms.entries_for(0) == ([], [])
 
 
 def test_empty_starts(loaded):
     ms = loaded.sweep_up_multi([])
-    assert ms.keys == [] and ms.offsets == []
+    assert ms.keys.size == 0 and ms.offsets == []
 
 
 def test_duplicate_starts_share_offsets(loaded):

@@ -39,47 +39,14 @@ def sharded():
     engine.close()
 
 
-class TestPathColumn:
-    """Index rows must say which hot path (columnar/scalar) served them."""
-
-    def exact_queries(self):
-        slope = SlopeSet.uniform_angles(3)[0]
-        return [
-            HalfPlaneQuery(EXIST, slope, 1.0, ">="),
-            HalfPlaneQuery(ALL, slope, -1.0, "<="),
-        ]
-
-    def test_columnar_engine_reports_columnar(self):
-        planner = DualIndexPlanner.build(
-            make_relation(80, "small", seed=11),
-            SlopeSet.uniform_angles(3), columnar=True,
-        )
-        report = explain(planner, self.exact_queries())
-        assert report.index_rows[planner.index.name]["path"] == "columnar"
-
-    def test_scalar_engine_reports_scalar(self):
-        planner = DualIndexPlanner.build(
-            make_relation(80, "small", seed=11),
-            SlopeSet.uniform_angles(3), columnar=False,
-        )
-        report = explain(planner, self.exact_queries())
-        assert report.index_rows[planner.index.name]["path"] == "scalar"
-
-    def test_render_includes_path(self):
-        planner = DualIndexPlanner.build(
-            make_relation(80, "small", seed=11),
-            SlopeSet.uniform_angles(3), columnar=True,
-        )
-        text = render_explain(explain(planner, self.exact_queries()))
-        assert "path=columnar" in text
-
+class TestBatchAttribution:
     def test_vectorized_batch_attribution_identity(self):
         # The Σ-exclusive == inclusive identity must hold on the
         # vectorized batch path too (explain() raises on violation; the
         # assertions pin the checked totals).
         planner = DualIndexPlanner.build(
             make_relation(120, "small", seed=11),
-            SlopeSet.uniform_angles(3), columnar=True,
+            SlopeSet.uniform_angles(3),
         )
         from repro.bench.vector_bench import fan_batch
 
