@@ -17,16 +17,18 @@ fig9-medium workload (N=2000 medium objects, k=3):
   (``answers_match_unsharded`` must be true for the numbers to mean
   anything). Two numbers per shard count:
 
-  - ``wall`` — one ``query_batch`` call through the facade, fan-out
-    included, exactly what a caller observes **on this machine**;
+  - ``wall`` — one ``query_batch`` call through the facade, which runs
+    the shards one after another, exactly what a caller observes **on
+    this machine**;
   - ``critical_path`` — ``max(per-shard execute_partials seconds) +
     merge seconds``, the fork-join span of the batch. Per-shard work is
     timed serially on cache-less executors (best-of-``repeats``), so
-    the span is what the process fan-out achieves with one core per
-    shard. On a single-CPU container (this repo's CI) wall time cannot
-    drop with shard count no matter how the work is split — the span is
-    the hardware-independent scaling signal, which is why it is the
-    number the ``qps`` field and the shards=4 > shards=1 gate use.
+    the span is a derived number: the time a batch would take if every
+    shard ran on its own core, which no code path in this repository
+    does. It is not measured throughput. It isolates the per-shard
+    work, which must shrink as each shard's forest gets smaller, and
+    it is the number the ``qps`` field and the shards=4 > shards=1 gate
+    use.
 
 The shards=4 > shards=1 critical-path comparison IS gated (exit 1):
 each shard holds a smaller forest, so per-shard sweeps touch fewer
@@ -145,9 +147,9 @@ def run_bench(
             SlopeSet.uniform_angles(k),
             shards=shards,
         )
-        # Wall leg: warm the fan-out pool and per-shard executors with a
-        # query OUTSIDE the timed batch, so the timed run exercises real
-        # query execution rather than the result LRU.
+        # Wall leg: warm the per-shard executors with a query OUTSIDE
+        # the timed batch, so each shard's dual surface is built before
+        # the timed run.
         engine.query_batch([HalfPlaneQuery(EXIST, 0.1234, 0.0, ">=")])
         start = time.perf_counter()
         batch = engine.query_batch(queries)
@@ -158,8 +160,8 @@ def run_bench(
         )
 
         # Critical-path leg: per-shard partials timed serially on
-        # cache-less executors, span = slowest shard + merge (see module
-        # docstring for why this, not wall, is the scaling signal).
+        # cache-less executors, span = slowest shard + merge (a derived
+        # number; see the module docstring).
         executors = [BatchExecutor(p, cache_size=0) for p in engine.planners]
         for executor in executors:  # untimed decode/warm pass
             executor.execute_partials(queries)

@@ -212,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated predefined slope set (default: 3 uniform)",
     )
     batch.add_argument(
-        "--workers", type=int, default=0,
-        help="thread-pool width for independent slope groups (default 0 "
-             "= sequential)",
-    )
-    batch.add_argument(
         "--json", action="store_true",
         help="emit per-query answers and the batch summary as JSON",
     )
@@ -1214,8 +1209,7 @@ def _batch(args) -> int:
         # their results/accounting.
         batch = planner.query_batch(queries)
     else:
-        executor = BatchExecutor(planner, max_workers=args.workers)
-        batch = executor.execute(queries)
+        batch = BatchExecutor(planner).execute(queries)
     if args.json:
         print(json_mod.dumps(
             {

@@ -14,6 +14,7 @@ the page accesses charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.constraints.linear import LinearConstraint
@@ -25,7 +26,18 @@ ALL = "ALL"
 EXIST = "EXIST"
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1024)
+def _scalar_slope(slope: float) -> tuple[float]:
+    """The ``(slope,)`` field of a 2-D query, one tuple per slope value.
+
+    Queries repeat slopes (every query on a slope of S uses one of k
+    values) and tuples are immutable, so queries on one slope share the
+    tuple; callers that keep many queries hold 48 bytes less per query.
+    """
+    return (slope,)
+
+
+@dataclass(frozen=True, slots=True)
 class HalfPlaneQuery:
     """An ALL or EXIST selection against a half-plane.
 
@@ -67,7 +79,11 @@ class HalfPlaneQuery:
         if theta not in (Theta.GE, Theta.LE):
             raise QueryError(f"half-plane queries use >= or <=, got {theta}")
         if isinstance(slope, (int, float)):
-            slope_t: tuple[float, ...] = (float(slope),)
+            slope = float(slope)
+            # -0.0 == 0.0, so zero slopes bypass the shared tuples.
+            slope_t: tuple[float, ...] = (
+                _scalar_slope(slope) if slope else (slope,)
+            )
         else:
             slope_t = tuple(float(v) for v in slope)
         if not slope_t:

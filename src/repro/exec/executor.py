@@ -29,9 +29,8 @@ per-query ``QueryResult.io`` is left zero in batch mode.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -39,7 +38,8 @@ from repro.constraints.tuples import GeneralizedTuple
 from repro.core.query import ALL, HalfPlaneQuery, QueryResult
 from repro.errors import QueryError
 from repro.exec.cache import CacheKey, QueryResultCache, cache_key
-from repro.exec.grouping import ExactGroup, VectorGroup, group_queries
+from repro.exec.grouping import ExactGroup, group_queries
+from repro.exec.partials import TECH_VECTOR, ShardPartials
 from repro.geometry.predicates import all_halfplane, exist_halfplane
 from repro.geometry.vectorized import DualSurface
 from repro.obs import slopelog
@@ -52,9 +52,6 @@ from repro.storage.stats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.planner import DualIndexPlanner
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 @dataclass
@@ -100,12 +97,6 @@ class BatchExecutor:
         batch runs against. Answers always equal ``planner.query``'s.
     cache_size:
         LRU result-cache capacity (0 disables caching).
-    max_workers:
-        When > 1, independent slope groups are processed by a thread
-        pool. The storage stack is not thread-safe, so pager-touching
-        sections run under one lock; only the in-memory classify/verify
-        work actually overlaps. Defaults to 0 (fully sequential), which
-        is also the deterministic mode the benchmarks use.
     registry:
         Metrics registry for cache/batch counters; defaults to the
         process-wide one.
@@ -131,13 +122,11 @@ class BatchExecutor:
         self,
         planner: "DualIndexPlanner",
         cache_size: int = 256,
-        max_workers: int = 0,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.planner = planner
         self.index = planner.index
         self.cache = QueryResultCache(cache_size)
-        self.max_workers = max_workers
         self.registry = registry if registry is not None else get_registry()
         self._io_lock = threading.Lock()
         self._surface: DualSurface | None = None
@@ -205,8 +194,8 @@ class BatchExecutor:
         batch.exact_groups = len(exact_groups)
         batch.vector_groups = len(vector_groups)
 
-        # 3. One merged sweep per exact group (fan-out optional).
-        sweeps = self._map_groups(self._sweep_group, exact_groups)
+        # 3. One merged sweep per exact group.
+        sweeps = [self._sweep_group(group) for group in exact_groups]
 
         # 4. One shared refinement fetch for every boundary candidate of
         # every exact group, pages pinned while the verify loop runs.
@@ -244,21 +233,20 @@ class BatchExecutor:
             for position in positions[1:]:
                 batch.results[position] = _clone_cached(first)
 
-    def execute_partials(self, queries: Sequence[HalfPlaneQuery]) -> "ShardPartials":
+    def execute_partials(self, queries: Sequence[HalfPlaneQuery]) -> ShardPartials:
         """Answer a batch as compact :class:`ShardPartials` columns.
 
         Same grouping, sweeps, refinement and answers as
         :meth:`execute`, but per-query results stay numpy columns — no
-        :class:`QueryResult` objects, no result cache. This is the lean
-        path the process fan-out workers run: on a fanned-out batch the
-        per-query Python assembly would otherwise be repeated on every
-        shard, and it is exactly the cost that does not shrink with the
-        shard count. Duplicate queries inside the batch are deduplicated
-        the same way :meth:`execute` does, so page accounting matches
-        the threaded fan-out bit for bit.
+        :class:`QueryResult` objects, no result cache. This is the path
+        each shard of :class:`~repro.shard.ShardedDualIndex` runs: on a
+        sharded batch the per-query Python assembly would otherwise be
+        repeated on every shard, and it is exactly the cost that does
+        not shrink with the shard count. Duplicate queries inside the
+        batch are deduplicated the same way :meth:`execute` does, so
+        page accounting matches :meth:`execute` bit for bit. Records the
+        same ``exec_*`` metrics as :meth:`execute`.
         """
-        from repro.exec.partials import ShardPartials
-
         for query in queries:
             if query.dimension != 2:
                 raise QueryError("BatchExecutor is 2-D; use DDimPlanner")
@@ -291,20 +279,19 @@ class BatchExecutor:
         out.tids = (
             np.concatenate(columns) if n else np.empty(0, dtype=np.int64)
         )
+        self._record_metrics(out)
         return out
 
     def _execute_partials(
         self,
         queries: list[HalfPlaneQuery],
         version: int,
-        out: "ShardPartials",
+        out: ShardPartials,
         columns: list,
     ) -> None:
-        from repro.exec.partials import TECH_VECTOR
-
         # 1. Intra-batch duplicates execute once (same dedup as
         # `_execute`, so sweeps and page accounting are identical); the
-        # result cache is not consulted — fan-out workers answer cold.
+        # result cache is not consulted — every batch is answered cold.
         pending: dict[CacheKey, list[int]] = {}
         fresh: list[tuple[int, HalfPlaneQuery]] = []
         for position, query in enumerate(queries):
@@ -323,7 +310,7 @@ class BatchExecutor:
         out.exact_groups = len(exact_groups)
         out.vector_groups = len(vector_groups)
 
-        sweeps = self._map_groups(self._sweep_group, exact_groups)
+        sweeps = [self._sweep_group(group) for group in exact_groups]
         scratch = BatchResult()
         decoded = self._fetch_boundary(_boundary_union(sweeps), scratch)
         out.refinement_pages = scratch.refinement_pages
@@ -516,19 +503,11 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _map_groups(
-        self, fn: Callable[[_T], _R], groups: Sequence[_T]
-    ) -> list[_R]:
-        if self.max_workers > 1 and len(groups) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                return list(pool.map(fn, groups))
-        return [fn(group) for group in groups]
-
-    def _record_metrics(self, batch: BatchResult) -> None:
+    def _record_metrics(self, batch: BatchResult | ShardPartials) -> None:
         reg = self.registry
         reg.counter("exec_batches", "Batches executed").inc()
         reg.counter("exec_batch_queries", "Queries answered in batches").inc(
-            len(batch.results)
+            len(batch)
         )
         reg.counter("exec_cache_hits", "Batch result-cache hits").inc(
             batch.cache_hits
@@ -548,8 +527,7 @@ class BatchExecutor:
 
     def __repr__(self) -> str:
         return (
-            f"<BatchExecutor index={self.index.name!r} cache={self.cache!r} "
-            f"workers={self.max_workers}>"
+            f"<BatchExecutor index={self.index.name!r} cache={self.cache!r}>"
         )
 
 

@@ -1,16 +1,13 @@
-"""Compact, picklable per-shard batch answers (the process fan-out wire
-format).
+"""Compact per-shard batch answers.
 
-:class:`ShardPartials` is what one shard contributes to a fanned-out
+:class:`ShardPartials` is what one shard contributes to a sharded
 batch: every query's accepted tids as one concatenated int64 column with
 an offsets array (*columnar*, so S shards × Q queries cost S array
 concatenations, not S×Q Python set unions), plus refined extras and the
 per-query / batch-scope accounting the facade sums.
 
-The layout is deliberately numpy-first: pickling a handful of large
-arrays across a process boundary runs at memcpy speed, where pickling
-Q Python sets would burn the very per-query overhead the process
-fan-out exists to escape.
+The layout is deliberately numpy-first: the merge hands each query a
+zero-copy view per shard instead of building Q Python sets per shard.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import numpy as np
 
 from repro.storage.stats import IOStats
 
-#: Technique codes used on the wire (uint8 per query).
+#: Technique codes (uint8 per query).
 TECH_EXACT = 0
 TECH_VECTOR = 1
 TECH_NAMES = ("exact", "vector")

@@ -16,7 +16,7 @@ carries a first-class measurement layer:
   per-phase attribution with a sums-to-inclusive-total invariant;
 * :mod:`repro.obs.tracer` — request-scoped trace contexts for the serve
   path: wire-propagated trace ids, sampling decisions, and the module
-  hook fan-out workers re-install from a plain payload;
+  hook downstream layers read to tag their spans;
 * :mod:`repro.obs.slowlog` — the bounded worst-N slow-query log whose
   entries carry enough state (query atoms, engine identity, answer
   digest, span tree) to replay bit-identically offline.

@@ -5,10 +5,9 @@ request end to end: a client mints (or the server assigns) a ``trace_id``,
 the server decides whether the request is *sampled* (gets a full
 :class:`~repro.obs.trace.QueryTrace` span tree) and publishes the
 context through the module-level hook below while the request's batch
-executes. Downstream layers — the batch executor, the sharded fan-out,
-even a forked process-fan-out worker — read :func:`context` to tag
-their spans and events with the id, without any plumbing through their
-signatures.
+executes. Downstream layers — the batch executor and the sharded
+facade — read :func:`context` to tag their spans and events with the
+id, without any plumbing through their signatures.
 
 The hook follows the same zero-overhead contract as
 :mod:`repro.obs.trace` and :mod:`repro.obs.slopelog`: with no context
@@ -16,14 +15,10 @@ installed, :func:`context` is one global load returning ``None``, and
 nothing downstream changes — answers, page accounting, and metrics are
 bit-identical with tracing off.
 
-Concurrency: the hook is a plain module global, *not* a thread-local,
-on purpose. The serve layer executes all engine work on one dedicated
-thread, so at most one batch (and therefore one request context) is
-live at a time; the sharded *thread* fan-out workers all serve that
-single batch and must see its context, which a thread-local would hide
-from them. The *process* fan-out cannot see the parent's global at all,
-so the facade ships :func:`payload` across and the worker re-installs
-it (see :func:`repro.shard.procfan.worker_batch`).
+Concurrency: the hook is a plain module global, not a thread-local.
+The serve layer executes all engine work on one dedicated thread, and
+the sharded facade runs its shards in turn on the calling thread, so at
+most one batch (and therefore one request context) is live at a time.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ class TraceContext:
     sampled: bool = False
 
     def payload(self) -> dict:
-        """JSON-ready form (the wire ``"trace"`` field / fork payload)."""
+        """JSON-ready form (the wire ``"trace"`` field)."""
         return {"id": self.trace_id, "sampled": self.sampled}
 
 
@@ -102,12 +97,6 @@ def request_context(ctx: TraceContext | None):
         yield ctx
     finally:
         _CONTEXT = previous
-
-
-def payload() -> dict | None:
-    """The active context as a fork/wire payload, or ``None``."""
-    ctx = _CONTEXT
-    return ctx.payload() if ctx is not None else None
 
 
 # ----------------------------------------------------------------------

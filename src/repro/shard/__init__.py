@@ -3,7 +3,8 @@
 * :mod:`repro.shard.keys` — vectorized + process-parallel
   :class:`EntryKeys` computation for the bulk build path.
 * :mod:`repro.shard.sharded` — :class:`ShardedDualIndex`, N independent
-  shards behind one planner-like facade with threaded query fan-out.
+  shards behind one planner-like facade; queries and batches run on
+  each shard in turn and merge.
 """
 
 from repro.shard.keys import (

@@ -3,8 +3,8 @@
 :class:`ShardedDualIndex` hash-partitions a relation by tuple id across
 N fully independent shards — each shard owns its own pager, buffer
 pool, heap file, and 2k B+-tree forest (a complete
-:class:`~repro.core.planner.DualIndexPlanner`). Queries fan out across
-a thread pool and merge:
+:class:`~repro.core.planner.DualIndexPlanner`). A query or batch runs
+on each shard in turn and the per-shard results merge:
 
 * **answers** — half-plane selections distribute over a disjoint
   partition of the relation, so the merged answer is the plain union of
@@ -19,19 +19,20 @@ Determinism: per-shard execution is exactly the unsharded engine on the
 shard's sub-relation, key computation is bit-identical (see
 :mod:`repro.shard.keys`), and the union of disjoint exact answer sets
 is order-independent — so sharded answers are bit-identical to the
-unsharded engine's for every N. Fan-out runs sequentially whenever an
-:mod:`repro.obs` trace is active (the trace recorder is bound to one
-pager and is not thread-safe).
+unsharded engine's for every N.
+
+Shards run one after another on the calling thread. The per-shard work
+is CPU-bound Python and numpy, so threads under the interpreter lock
+only interleave it, and forked workers pay pickling and IPC on every
+batch; neither beats the plain loop. A batch goes through each shard's
+lean columnar path (:meth:`repro.exec.BatchExecutor.execute_partials`)
+and :func:`_merge_partials` assembles the columns into one
+:class:`~repro.exec.BatchResult`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields as dataclass_fields
-from pickle import PicklingError
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -90,36 +91,25 @@ class ShardedDualIndex:
         self,
         planners: Sequence[DualIndexPlanner],
         registry: MetricsRegistry | None = None,
-        fanout: str = "thread",
     ) -> None:
         if not planners:
             raise IndexError_("ShardedDualIndex needs at least one shard")
-        if fanout not in ("thread", "process"):
-            raise IndexError_(f"fanout must be 'thread' or 'process', got {fanout!r}")
         self.planners = list(planners)
         self.registry = registry if registry is not None else get_registry()
-        #: Batch fan-out mode. ``"process"`` forks one worker per shard
-        #: (copy-on-write planners) so CPU-bound shard work actually
-        #: overlaps — the GIL caps thread fan-out at 1× (see
-        #: :mod:`repro.shard.procfan`). Falls back to threads when
-        #: forking is unavailable or the shards are dynamic.
-        self.fanout = fanout
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._executors: list[BatchExecutor] | None = None
-        self._proc_pool = None
-        self._proc_key: int | None = None
-        self._proc_version: int | None = None
-        #: One private registry per shard. Shard-local recording is
-        #: thread-safe by construction (no sharing); after every query
-        #: or batch the facade drains them into :attr:`registry` as
+        #: One private registry per shard; after every query or batch
+        #: the facade drains them into :attr:`registry` as
         #: ``shard_*{shard=i}`` labeled series (see
         #: :meth:`_drain_shard_metrics`).
         self._shard_registries = [MetricsRegistry() for _ in self.planners]
+        # One cache-less executor per shard: the columnar partials path
+        # never reads a result cache.
+        self._executors = [
+            BatchExecutor(p, cache_size=0, registry=reg)
+            for p, reg in zip(self.planners, self._shard_registries)
+        ]
         # Shard-internal planners stay out of the slope log: every shard
         # sees the same broadcast stream, so the facade records each
-        # logical query exactly once (identically for thread and process
-        # fan-out, whose workers could not drain a forked log back).
+        # logical query exactly once.
         for p in self.planners:
             p.slope_logging = False
 
@@ -128,21 +118,17 @@ class ShardedDualIndex:
     # ------------------------------------------------------------------
     def save(self, data_dir: str) -> None:
         """Persist every shard (``shard-N/`` subdirectories) plus a
-        manifest catalog naming the shard count and fan-out mode."""
+        manifest catalog naming the shard count."""
         from repro.storage.checkpoint import save_sharded
 
         save_sharded(self, data_dir)
 
     @classmethod
-    def open(
-        cls,
-        data_dir: str,
-        fanout: str | None = None,
-    ) -> "ShardedDualIndex":
+    def open(cls, data_dir: str) -> "ShardedDualIndex":
         """Open a saved sharded engine from its manifest."""
         from repro.storage.checkpoint import open_sharded
 
-        return open_sharded(data_dir, fanout=fanout)
+        return open_sharded(data_dir)
 
     # ------------------------------------------------------------------
     # construction
@@ -160,7 +146,6 @@ class ShardedDualIndex:
         pivot_x: float = 0.0,
         pager_factory: Callable[[int], Pager] | None = None,
         registry: MetricsRegistry | None = None,
-        fanout: str = "thread",
     ) -> "ShardedDualIndex":
         """Partition ``relation`` into ``shards`` sub-relations by tuple
         id and build one full planner per shard (each with its own
@@ -191,7 +176,7 @@ class ShardedDualIndex:
                         name=f"shard{n}",
                     )
                 )
-        return cls(planners, registry=registry, fanout=fanout)
+        return cls(planners, registry=registry)
 
     # ------------------------------------------------------------------
     # facade properties
@@ -233,53 +218,31 @@ class ShardedDualIndex:
     # queries
     # ------------------------------------------------------------------
     def query(self, query: HalfPlaneQuery, refresh: bool = True) -> QueryResult:
-        """Fan one query out to every shard and merge (union of ids,
+        """Run one query on every shard in turn and merge (union of ids,
         summed accounting). The answer is bit-identical to the
         unsharded planner's on the same relation."""
         slopelog.record(query.slope_2d, query.query_type)
         with obs.span("shard.fanout", shards=self.shards,
                       type=query.query_type, **_trace_meta()):
             obs.incr("shard_fanout.queries")
-            partials = self._fanout(
-                lambda p: p.query(query, refresh=refresh)
-            )
-        self._record_partials(partials)
+            partials = [p.query(query, refresh=refresh) for p in self.planners]
+        for i, part in enumerate(partials):
+            self._record_shard_work(i, part.page_accesses, part.answer_count)
         self._drain_shard_metrics()
         return _merge_query_results(partials)
 
     def query_batch(self, queries: Sequence[HalfPlaneQuery]) -> BatchResult:
-        """Fan a whole batch out to per-shard batch executors and merge
-        per-position results plus batch-scope accounting."""
+        """Answer a batch on every shard's columnar partials path in
+        turn and merge the columns plus batch-scope accounting."""
         queries = list(queries)
         for q in queries:
             slopelog.record(q.slope_2d, q.query_type)
-        if (
-            self.fanout == "process"
-            and self.shards > 1
-            and obs.current() is None
-            and not any(p.index.dynamic for p in self.planners)
-        ):
-            merged = self._query_batch_processes(queries)
-            if merged is not None:
-                return merged
         with obs.span("shard.fanout_batch", shards=self.shards,
                       queries=len(queries), **_trace_meta()):
             obs.incr("shard_fanout.batches")
             obs.incr("shard_fanout.queries", len(queries))
-            parts = self._fanout_executors(queries)
-        merged = BatchResult(results=[])
-        for position in range(len(queries)):
-            merged.results.append(
-                _merge_query_results([p.results[position] for p in parts])
-            )
-        for part in parts:
-            _add_io(merged.io, part.io)
-            merged.cache_hits += part.cache_hits
-            merged.cache_misses += part.cache_misses
-            merged.exact_groups += part.exact_groups
-            merged.vector_groups += part.vector_groups
-            merged.sweep_leaves += part.sweep_leaves
-            merged.refinement_pages += part.refinement_pages
+            parts = [ex.execute_partials(queries) for ex in self._executors]
+        merged = _merge_partials(parts, len(queries))
         self.registry.counter(
             "shard_fanout_batches", "Batches fanned out across shards"
         ).inc()
@@ -287,9 +250,11 @@ class ShardedDualIndex:
             "shard_fanout_queries", "Queries answered by shard fan-out"
         ).inc(len(queries) * self.shards)
         for i, part in enumerate(parts):
+            answers = int(part.offsets[-1]) + sum(
+                len(e) for e in part.extras if e
+            )
             self._record_shard_work(
-                i, part.page_accesses,
-                sum(res.answer_count for res in part.results),
+                i, part.io.logical_reads + part.io.logical_writes, answers
             )
         self._drain_shard_metrics()
         return merged
@@ -318,134 +283,8 @@ class ShardedDualIndex:
         self.planners[shard_of(tid, self.shards)].delete(tid)
 
     # ------------------------------------------------------------------
-    # process fan-out (fork + copy-on-write shards)
-    # ------------------------------------------------------------------
-    def _query_batch_processes(
-        self, queries: list[HalfPlaneQuery]
-    ) -> BatchResult | None:
-        """Ship the batch to one forked worker per shard; ``None`` means
-        process fan-out is unavailable (caller falls back to threads)."""
-        from repro.shard import procfan
-
-        pool = self._process_pool()
-        if pool is None:
-            return None
-        # The forked workers cannot see this process's request-context
-        # global, so the active trace context (if any) crosses the
-        # boundary as an explicit payload and each worker re-installs it.
-        trace_payload = tracer.payload()
-        try:
-            futures = [
-                pool.submit(procfan.worker_batch, self._proc_key, n, queries,
-                            trace_payload)
-                for n in range(self.shards)
-            ]
-            parts = [f.result() for f in futures]
-        except (OSError, BrokenProcessPool, PicklingError):
-            # A worker died (or the payload would not cross the process
-            # boundary): permanently drop to the threaded fan-out.
-            self._shutdown_process_pool()
-            self.fanout = "thread"
-            return None
-        merged = _merge_partials(parts, len(queries))
-        self.registry.counter(
-            "shard_fanout_batches", "Batches fanned out across shards"
-        ).inc()
-        self.registry.counter(
-            "shard_fanout_queries", "Queries answered by shard fan-out"
-        ).inc(len(queries) * self.shards)
-        for i, part in enumerate(parts):
-            answers = int(part.offsets[-1]) + sum(
-                len(e) for e in part.extras if e
-            )
-            self._record_shard_work(
-                i,
-                part.io.logical_reads + part.io.logical_writes,
-                answers,
-            )
-        self._drain_shard_metrics()
-        return merged
-
-    def _process_pool(self):
-        """The forked worker pool for the current index version (re-forked
-        after any shard mutation so workers see current state)."""
-        from repro.shard import procfan
-
-        version = self.version
-        if self._proc_pool is not None and self._proc_version == version:
-            return self._proc_pool
-        self._shutdown_process_pool()
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            self.fanout = "thread"
-            return None
-        self._proc_key = procfan.register(self.planners)
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=self.shards, mp_context=context
-            )
-            # Force the fork now, while the registration is current.
-            for _ in pool.map(_noop, range(self.shards)):
-                pass
-        except (OSError, BrokenProcessPool):  # pragma: no cover - no fork
-            procfan.unregister(self._proc_key)
-            self._proc_key = None
-            self.fanout = "thread"
-            return None
-        self._proc_pool = pool
-        self._proc_version = version
-        return pool
-
-    def _shutdown_process_pool(self) -> None:
-        from repro.shard import procfan
-
-        if self._proc_pool is not None:
-            self._proc_pool.shutdown(wait=False, cancel_futures=True)
-            self._proc_pool = None
-        if self._proc_key is not None:
-            procfan.unregister(self._proc_key)
-            self._proc_key = None
-        self._proc_version = None
-
-    # ------------------------------------------------------------------
-    # fan-out machinery
-    # ------------------------------------------------------------------
-    def _fanout(self, fn):
-        """Apply ``fn`` to every shard planner, threaded when safe.
-
-        Sequential when a trace is active (the recorder binds one pager
-        and is not thread-safe) or with a single shard.
-        """
-        if self.shards == 1 or obs.current() is not None:
-            return [fn(p) for p in self.planners]
-        return list(self._thread_pool().map(fn, self.planners))
-
-    def _fanout_executors(self, queries) -> list[BatchResult]:
-        executors = self._shard_executors()
-        if self.shards == 1 or obs.current() is not None:
-            return [ex.execute(queries) for ex in executors]
-        return list(
-            self._thread_pool().map(lambda ex: ex.execute(queries), executors)
-        )
-
-    def _shard_executors(self) -> list[BatchExecutor]:
-        if self._executors is None:
-            self._executors = [
-                BatchExecutor(p, registry=reg)
-                for p, reg in zip(self.planners, self._shard_registries)
-            ]
-        return self._executors
-
-    # ------------------------------------------------------------------
     # per-shard metric aggregation
     # ------------------------------------------------------------------
-    def _record_partials(self, partials: Sequence[QueryResult]) -> None:
-        """Record one fan-out's per-shard work (``partials`` is aligned
-        with :attr:`planners`) into the shard-local registries."""
-        for i, part in enumerate(partials):
-            self._record_shard_work(i, part.page_accesses, part.answer_count)
-
     def _record_shard_work(self, shard: int, pages: int, results: int) -> None:
         reg = self._shard_registries[shard]
         reg.counter("pages", "Page accesses on this shard").inc(pages)
@@ -471,32 +310,15 @@ class ShardedDualIndex:
                 snap.with_labels(prefix="shard_", shard=str(i))
             )
 
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.shards, thread_name_prefix="shard"
-                )
-            return self._pool
-
     def close(self) -> None:
-        """Shut down the fan-out pools (idempotent)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            self._shutdown_process_pool()
+        """Release engine resources. Shards hold no pool or worker, so
+        this is a no-op kept for callers that close every engine."""
 
     def __repr__(self) -> str:
         return (
             f"<ShardedDualIndex shards={self.shards} size={self.size} "
             f"slopes={len(self.planners[0].index.slopes)}>"
         )
-
-
-def _noop(_n: int) -> None:
-    """Worker warm-up task; its only job is to force the fork."""
-    return None
 
 
 def _trace_meta() -> dict:
@@ -520,23 +342,29 @@ def _merge_partials(parts, n_queries: int) -> BatchResult:
     merged = BatchResult(results=[None] * n_queries)  # type: ignore[list-item]
     if not parts:
         return merged
-    candidates = sum(p.candidates for p in parts)
-    false_hits = sum(p.false_hits for p in parts)
-    accepted = sum(p.accepted_without_refinement for p in parts)
-    refinement_q = sum(p.refinement_pages_q for p in parts)
-    technique = parts[0].technique
-    for j in range(n_queries):
+    # Convert to Python ints once: indexing numpy arrays per query took
+    # over a third of the merge.
+    candidates = sum(p.candidates for p in parts).tolist()
+    false_hits = sum(p.false_hits for p in parts).tolist()
+    accepted = sum(p.accepted_without_refinement for p in parts).tolist()
+    refinement_q = sum(p.refinement_pages_q for p in parts).tolist()
+    technique = parts[0].technique.tolist()
+    views = []
+    for p in parts:
+        offsets = p.offsets.tolist()
+        views.append([p.tids[a:b] for a, b in zip(offsets, offsets[1:])])
+    per_query = zip(zip(*views), zip(*(p.extras for p in parts)))
+    for j, (columns, extras) in enumerate(per_query):
         result = QueryResult(technique=TECH_NAMES[technique[j]])
         extra: set[int] | None = None
-        for p in parts:
-            part_extra = p.extras[j]
+        for part_extra in extras:
             if part_extra:
                 extra = set(part_extra) if extra is None else extra | part_extra
-        result.set_lazy_ids([p.tid_column(j) for p in parts], extra)
-        result.candidates = int(candidates[j])
-        result.false_hits = int(false_hits[j])
-        result.accepted_without_refinement = int(accepted[j])
-        result.refinement_pages = int(refinement_q[j])
+        result.set_lazy_ids(list(columns), extra)
+        result.candidates = candidates[j]
+        result.false_hits = false_hits[j]
+        result.accepted_without_refinement = accepted[j]
+        result.refinement_pages = refinement_q[j]
         merged.results[j] = result
     for p in parts:
         _add_io(merged.io, p.io)

@@ -305,12 +305,14 @@ def save_sharded(engine, data_dir: str) -> None:
     write_catalog(data_dir, {
         "kind": "sharded",
         "shards": len(engine.planners),
-        "fanout": engine.fanout,
     }, 0)
 
 
-def open_sharded(data_dir: str, fanout: str | None = None):
-    """Open a saved :class:`ShardedDualIndex` from its manifest."""
+def open_sharded(data_dir: str):
+    """Open a saved :class:`ShardedDualIndex` from its manifest.
+
+    Manifests written by older versions also carry a ``"fanout"`` key;
+    it is ignored."""
     from repro.shard.sharded import ShardedDualIndex
 
     payload, _seq, _generation = read_catalog(data_dir)
@@ -322,8 +324,7 @@ def open_sharded(data_dir: str, fanout: str | None = None):
         open_planner(os.path.join(data_dir, f"shard-{n}"))
         for n in range(payload["shards"])
     ]
-    return ShardedDualIndex(
-        planners, fanout=fanout if fanout is not None else payload["fanout"])
+    return ShardedDualIndex(planners)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ read/write counted per ``read_page``/``write_page`` and none for
 allocate/free — so every pinned page-count baseline holds unchanged
 when the substrate becomes real files. Reads go through an mmap fast
 path with a ``pread`` fallback; writes use ``pwrite`` on a raw fd, so
-forked shard workers sharing the descriptor never race a seek offset.
+no write depends on a shared seek offset.
 
 Two durability modes:
 

@@ -83,14 +83,6 @@ def test_same_slope_batch_uses_fewer_pages_than_sequential():
     assert batch.page_accesses < seq_pages
 
 
-def test_threaded_fanout_matches_serial():
-    state = _setup()
-    queries = _mixed_batch()
-    serial = BatchExecutor(state["planner"]).execute(queries)
-    threaded = BatchExecutor(state["planner"], max_workers=4).execute(queries)
-    assert [r.ids for r in threaded.results] == [r.ids for r in serial.results]
-
-
 def test_insert_invalidates_cached_results():
     rng = random.Random(99)
     relation = random_mixed_relation(rng, 20)

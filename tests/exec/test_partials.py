@@ -1,10 +1,11 @@
 """Lean partials path and lazy columnar answers.
 
-``BatchExecutor.execute_partials`` is the shard fan-out wire format: it
-must be the same computation as ``execute`` — same answers, same
-per-query accounting, same batch page accounting — minus the per-query
-``QueryResult`` objects. ``QueryResult.set_lazy_ids`` is the handoff
-that lets those columns cross into result objects without set
+``BatchExecutor.execute_partials`` is what every shard of a
+``ShardedDualIndex`` runs for a batch: it must be the same computation
+as ``execute`` — same answers, same per-query accounting, same batch
+page accounting — minus the per-query ``QueryResult`` objects and the
+result cache. ``QueryResult.set_lazy_ids`` is the handoff that lets
+those columns cross into the merged result objects without set
 materialisation.
 """
 
@@ -82,12 +83,11 @@ class TestExecutePartialsParity:
         assert parts.tids.size == 0
 
 
-class TestShardedProcessFanout:
-    @pytest.mark.parametrize("fanout", ["thread", "process"])
-    def test_matches_unsharded(self, planner, queries, fanout):
+class TestShardedBatch:
+    def test_matches_unsharded(self, planner, queries):
         relation = make_relation(250, "small", seed=7)
         engine = ShardedDualIndex.build(
-            relation, SlopeSet.uniform_angles(3), shards=2, fanout=fanout,
+            relation, SlopeSet.uniform_angles(3), shards=2,
         )
         try:
             batch = engine.query_batch(queries)
@@ -95,16 +95,6 @@ class TestShardedProcessFanout:
                 assert res.ids == planner.query(q).ids, q
         finally:
             engine.close()
-
-    def test_invalid_fanout_rejected(self):
-        from repro.errors import IndexError_
-
-        relation = make_relation(40, "small", seed=7)
-        with pytest.raises(IndexError_):
-            ShardedDualIndex.build(
-                relation, SlopeSet.uniform_angles(3), shards=2,
-                fanout="carrier-pigeon",
-            )
 
 
 class TestLazyQueryResult:

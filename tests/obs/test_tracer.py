@@ -1,7 +1,5 @@
 """Request-scoped trace contexts (repro.obs.tracer)."""
 
-import pickle
-
 import pytest
 
 from repro.obs import tracer
@@ -25,11 +23,6 @@ class TestTraceContext:
         ctx = TraceContext("x")
         with pytest.raises(AttributeError):
             ctx.trace_id = "y"
-
-    def test_payload_is_picklable(self):
-        # The fork fan-out ships payloads across process boundaries.
-        ctx = TraceContext("abc", sampled=True)
-        assert pickle.loads(pickle.dumps(ctx.payload())) == ctx.payload()
 
 
 class TestValidTraceId:
@@ -65,13 +58,11 @@ class TestFromPayload:
 class TestRequestContextHook:
     def test_no_context_by_default(self):
         assert tracer.context() is None
-        assert tracer.payload() is None
 
     def test_install_and_restore(self):
         ctx = TraceContext("t1")
         with request_context(ctx):
             assert tracer.context() is ctx
-            assert tracer.payload() == {"id": "t1", "sampled": False}
         assert tracer.context() is None
 
     def test_nesting_restores_outer(self):

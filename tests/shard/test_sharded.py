@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import DualIndexPlanner, HalfPlaneQuery, SlopeSet
 from repro.errors import IndexError_
+from repro.geometry.predicates import evaluate_relation
+from repro.geometry.vectorized import DualSurface
 from repro.shard import ShardedDualIndex, shard_of
 from repro.workloads import make_relation
 from tests.conftest import random_bounded_tuple, random_mixed_relation
@@ -120,6 +123,60 @@ def test_updates_route_to_owning_shard():
         engine.close()
 
 
+def test_dynamic_shards_batch_matches_oracle_after_updates():
+    """Inserts and deletes leave dirty leaves on dynamic shards; the next
+    ``query_batch`` repairs the handicaps on each shard's columnar
+    partials path and answers like the oracle on the current tuples."""
+    rng = random.Random(31)
+    relation = random_mixed_relation(rng, 40)
+    planners = [
+        DualIndexPlanner.build(
+            relation.subset(
+                [tid for tid, _t in relation if shard_of(tid, 2) == n]
+            ),
+            SLOPES,
+            dynamic=True,
+        )
+        for n in range(2)
+    ]
+    engine = ShardedDualIndex(planners)
+    try:
+        current = dict(relation)
+        next_tid = max(current) + 1
+        for tid in range(next_tid, next_tid + 8):
+            t = random_bounded_tuple(rng)
+            engine.insert(tid, t)
+            current[tid] = t
+        for tid in sorted(current)[:12:3]:
+            engine.delete(tid)
+            del current[tid]
+        assert any(p._has_dirty_leaves() for p in engine.planners)
+        # Exact-slope intercepts on a current tuple's TOP/BOT land in the
+        # refinement band, so refined extras must merge too.
+        surface = DualSurface.from_items(
+            (tid, t) for tid, t in current.items() if t.is_satisfiable()
+        )
+        queries = _random_queries(rng, 12)
+        for slope in SLOPES:
+            for values in (surface.top_at(slope), surface.bot_at(slope)):
+                for value in values[np.isfinite(values)][:2]:
+                    for qtype in ("ALL", "EXIST"):
+                        for theta in (">=", "<="):
+                            queries.append(HalfPlaneQuery(
+                                qtype, slope, float(value), theta))
+        batch = engine.query_batch(queries)
+        assert not any(p._has_dirty_leaves() for p in engine.planners)
+        skipped = set(engine.skipped)
+        for query, result in zip(queries, batch.results):
+            want = evaluate_relation(
+                current.items(), query.query_type, query.slope_2d,
+                query.intercept, query.theta,
+            )
+            assert result.ids == want - skipped, query
+    finally:
+        engine.close()
+
+
 def test_parallel_sharded_build_matches_serial_layout():
     slopes = SlopeSet.uniform_angles(3)
     serial = ShardedDualIndex.build(
@@ -203,6 +260,24 @@ def test_facade_registry_gets_labeled_shard_series():
             if key.startswith("shard_pages{")
         )
         assert after > before
+    finally:
+        engine.close()
+
+
+def test_batch_keeps_per_shard_executor_series():
+    """The columnar partials path records the executor's ``exec_*``
+    counters, so they still drain as ``shard_exec_*{shard=i}``."""
+    from repro.obs.metrics import MetricsRegistry
+
+    reg = MetricsRegistry()
+    relation = make_relation(60, "small", seed=7)
+    engine = ShardedDualIndex.build(relation, SLOPES, shards=2, registry=reg)
+    try:
+        engine.query_batch(_random_queries(random.Random(4), 5))
+        counters = reg.collect()["counters"]
+        for shard in ("0", "1"):
+            assert counters[f"shard_exec_batches{{shard={shard}}}"] == 1
+            assert counters[f"shard_exec_batch_queries{{shard={shard}}}"] == 5
     finally:
         engine.close()
 

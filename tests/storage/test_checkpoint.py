@@ -173,6 +173,27 @@ def test_sharded_save_open_and_engine_dispatch(tmp_path):
         p.index.pager.disk.close()
 
 
+def test_open_sharded_ignores_legacy_fanout_key(tmp_path):
+    """Manifests written before the fan-out mode was removed carry a
+    ``"fanout"`` key; opening ignores it and new manifests omit it."""
+    relation = make_relation(60, "small", seed=9)
+    engine = ShardedDualIndex.build(relation, SLOPES, shards=2)
+    path = str(tmp_path / "fleet")
+    save_sharded(engine, path)
+    payload, seq, _generation = read_catalog(path)
+    assert "fanout" not in payload
+    write_catalog(path, dict(payload, fanout="process"), seq)
+
+    reopened = open_sharded(path)
+    reference = DualIndexPlanner.build(relation, SLOPES)
+    queries = _queries(reference)
+    batch = reopened.query_batch(queries)
+    assert [sorted(r.ids) for r in batch.results] == _answers(
+        reference, queries)
+    for p in reopened.planners:
+        p.index.pager.disk.close()
+
+
 def test_open_planner_rejects_wrong_kind(tmp_path):
     engine = ShardedDualIndex.build(make_relation(20, "small", seed=9), SLOPES,
                                     shards=2)
