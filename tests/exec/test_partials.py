@@ -97,6 +97,38 @@ class TestShardedBatch:
             engine.close()
 
 
+class TestShardedProcessFanout:
+    """Data directories saved while a sharded engine still chose a
+    thread or process fan-out name it in the catalog. Either value must
+    open onto the one in-turn shard path and answer like one planner."""
+
+    @pytest.mark.parametrize("fanout", ["thread", "process"])
+    def test_matches_unsharded(self, planner, queries, fanout, tmp_path):
+        from repro.storage.checkpoint import (
+            open_sharded, read_catalog, save_sharded, write_catalog,
+        )
+
+        relation = make_relation(250, "small", seed=7)
+        path = str(tmp_path / "fleet")
+        save_sharded(
+            ShardedDualIndex.build(
+                relation, SlopeSet.uniform_angles(3), shards=2,
+            ),
+            path,
+        )
+        payload, seq, _generation = read_catalog(path)
+        write_catalog(path, dict(payload, fanout=fanout), seq)
+        engine = open_sharded(path)
+        try:
+            batch = engine.query_batch(queries)
+            for q, res in zip(queries, batch.results):
+                assert res.ids == planner.query(q).ids, q
+        finally:
+            engine.close()
+            for p in engine.planners:
+                p.index.pager.disk.close()
+
+
 class TestLazyQueryResult:
     def test_single_column_materialises_once(self):
         res = QueryResult(technique="exact")
