@@ -1,40 +1,31 @@
-"""Build-throughput + sharded-QPS benchmark (``BENCH_shard.json``).
+"""Sharded-QPS benchmark (``BENCH_shard.json``).
 
-Measures the two axes the sharded engine adds on the paper's
-fig9-medium workload (N=2000 medium objects, k=3):
+Measures the query-side throughput of :class:`ShardedDualIndex` on the
+paper's fig9-medium workload (N=2000 medium objects, k=3) at 1/2/4
+shards over the columnar fan batch
+(:func:`repro.bench.vector_bench.fan_batch`, 240 queries), with a
+per-shard-count correctness check against the unsharded planner
+(``answers_match_unsharded`` must be true for the numbers to mean
+anything). Two numbers per shard count:
 
-* **build throughput** — wall time of a full ``DualIndexPlanner.build``
-  at 1 worker (legacy serial scalar path) vs 4 workers (vectorized
-  per-chunk key computation on a process pool, falling back to the
-  vectorized serial path on a single-CPU box). Every timed run gets a
-  *fresh* relation: :class:`GeneralizedTuple` memoises its polygon
-  extension, so reusing one relation would let the second run ride the
-  first run's cache and fake a speedup.
-* **sharded QPS** — query-side throughput of :class:`ShardedDualIndex`
-  at 1/2/4 shards over the columnar fan batch
-  (:func:`repro.bench.vector_bench.fan_batch`, 240 queries), with a
-  per-shard-count correctness check against the unsharded planner
-  (``answers_match_unsharded`` must be true for the numbers to mean
-  anything). Two numbers per shard count:
-
-  - ``wall`` — one ``query_batch`` call through the facade, which runs
-    the shards one after another, exactly what a caller observes **on
-    this machine**;
-  - ``critical_path`` — ``max(per-shard execute_partials seconds) +
-    merge seconds``, the fork-join span of the batch. Per-shard work is
-    timed serially on cache-less executors (best-of-``repeats``), so
-    the span is a derived number: the time a batch would take if every
-    shard ran on its own core, which no code path in this repository
-    does. It is not measured throughput. It isolates the per-shard
-    work, which must shrink as each shard's forest gets smaller, and
-    it is the number the ``qps`` field and the shards=4 > shards=1 gate
-    use.
+- ``wall`` — one ``query_batch`` call through the facade, which runs
+  the shards one after another, exactly what a caller observes **on
+  this machine**;
+- ``critical_path`` — ``max(per-shard execute_partials seconds) +
+  merge seconds``, the fork-join span of the batch. Per-shard work is
+  timed serially on cache-less executors (best-of-``repeats``), so
+  the span is a derived number: the time a batch would take if every
+  shard ran on its own core, which no code path in this repository
+  does. It is not measured throughput. It isolates the per-shard
+  work, which must shrink as each shard's forest gets smaller, and
+  it is the number the ``qps`` field and the shards=4 > shards=1 gate
+  use.
 
 The shards=4 > shards=1 critical-path comparison IS gated (exit 1):
 each shard holds a smaller forest, so per-shard sweeps touch fewer
-leaves and the span must shrink as shards grow. Build timings remain
-informational. The emitted JSON is uploaded as a workflow artifact and
-a reference copy is checked in at the repository root.
+leaves and the span must shrink as shards grow. The emitted JSON is
+uploaded as a workflow artifact and a reference copy is checked in at
+the repository root.
 """
 
 from __future__ import annotations
@@ -58,7 +49,6 @@ FIG9_SIZE = "medium"
 FIG9_K = 3
 
 DEFAULT_OUT = "BENCH_shard.json"
-BUILD_WORKER_COUNTS = (1, 4)
 SHARD_COUNTS = (1, 2, 4)
 
 
@@ -75,24 +65,6 @@ def _build_queries(n: int, size: str, k: int, count: int) -> list[HalfPlaneQuery
     return queries
 
 
-def time_build(
-    n: int, size: str, k: int, workers: int, seed: int, repeats: int
-) -> float:
-    """Best-of-``repeats`` wall time of a full index build.
-
-    Each attempt regenerates the relation from scratch so tuple
-    extension caches cannot leak work across runs.
-    """
-    slopes = SlopeSet.uniform_angles(k)
-    best = float("inf")
-    for _ in range(repeats):
-        relation = make_relation(n, size, seed=seed)
-        start = time.perf_counter()
-        DualIndexPlanner.build(relation, slopes, workers=workers)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def run_bench(
     n: int = FIG9_N,
     size: str = FIG9_SIZE,
@@ -101,7 +73,7 @@ def run_bench(
     repeats: int = 2,
     queries_per_type: int = 6,
 ) -> dict:
-    """Run both legs and return the ``BENCH_shard.json`` payload."""
+    """Run the query leg and return the ``BENCH_shard.json`` payload."""
     payload: dict = {
         "workload": {
             "figure": "9 (medium objects)",
@@ -111,25 +83,8 @@ def run_bench(
             "seed": seed,
             "repeats": repeats,
         },
-        "build": [],
         "query": [],
     }
-
-    build_seconds: dict[int, float] = {}
-    for workers in BUILD_WORKER_COUNTS:
-        seconds = time_build(n, size, k, workers, seed, repeats)
-        build_seconds[workers] = seconds
-        payload["build"].append(
-            {
-                "workers": workers,
-                "seconds": round(seconds, 6),
-                "tuples_per_second": round(n / seconds, 1),
-            }
-        )
-    lo, hi = min(BUILD_WORKER_COUNTS), max(BUILD_WORKER_COUNTS)
-    payload["build_speedup_4v1"] = round(
-        build_seconds[lo] / build_seconds[hi], 3
-    )
 
     # The columnar fan batch plus the mixed interior/exact batch, so the
     # timed workload covers both the exact merged-sweep path and the
@@ -209,15 +164,8 @@ def format_report(payload: dict) -> str:
     lines = [
         f"shard bench — fig9-medium (n={payload['workload']['n']}, "
         f"size={payload['workload']['size']}, k={payload['workload']['k']})",
-        "build:",
+        "query:",
     ]
-    for row in payload["build"]:
-        lines.append(
-            f"  workers={row['workers']}: {row['seconds']:.3f}s "
-            f"({row['tuples_per_second']:.0f} tuples/s)"
-        )
-    lines.append(f"  speedup 4v1: {payload['build_speedup_4v1']:.2f}x")
-    lines.append("query:")
     for row in payload["query"]:
         ok = "ok" if row["answers_match_unsharded"] else "MISMATCH"
         lines.append(
@@ -239,8 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro shard-bench",
         description=(
-            "build-throughput (1 vs 4 workers) and sharded-QPS "
-            "(1/2/4 shards) benchmark on the fig9-medium workload"
+            "sharded-QPS (1/2/4 shards) benchmark on the fig9-medium "
+            "workload"
         ),
     )
     parser.add_argument(
@@ -257,7 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=2,
-        help="timed build attempts per worker count (best-of; default 2)",
+        help="best-of timing repeats of the query leg (never fewer "
+             "than 3; default 2)",
     )
     args = parser.parse_args(argv)
     payload = run_bench(

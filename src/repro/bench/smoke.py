@@ -13,9 +13,8 @@ accesses*, into a :class:`~repro.obs.MetricsRegistry`:
   canary: a perf "win" that changes answers is a bug);
 * ``smoke_query_seconds{structure}`` — wall-time histogram. Timings are
   *not* gated (they flake on shared runners); only counters are;
-* ``smoke_build_pages`` / ``smoke_build_seconds{workers}`` — build-phase
-  page traffic (gated; identical for serial and parallel builds) and
-  wall time (informational).
+* ``smoke_build_pages`` / ``smoke_build_seconds`` — build-phase page
+  traffic (gated) and wall time (informational).
 
 The gate compares the registry's ``counters`` section against a
 checked-in baseline (``benchmarks/baselines/smoke.json``): any counter
@@ -78,21 +77,18 @@ def run_smoke(
     k: int = SMOKE_K,
     count: int = SMOKE_QUERIES,
     shards: int = 1,
-    build_workers: int = 0,
     data_dir: str | None = None,
 ) -> MetricsRegistry:
     """Run the workload and return the populated registry.
 
     The defaults are the CI gate's fixed parameters; ``repro stats``
-    reuses this with user-chosen ones. ``build_workers`` selects the
-    build path timed by the build leg (the resulting index — and so
-    ``smoke_build_pages`` — is byte-identical either way); ``shards > 1``
-    adds a sharded-engine leg whose counters are new (warn-only) until
-    pinned into the baseline; ``data_dir`` adds a durable save/open leg
-    under that directory.
+    reuses this with user-chosen ones. ``shards > 1`` adds a
+    sharded-engine leg whose counters are new (warn-only) until pinned
+    into the baseline; ``data_dir`` adds a durable save/open leg under
+    that directory.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    _run_build_leg(registry, n, size, k, build_workers)
+    _run_build_leg(registry, n, size, k)
     index_pages = registry.counter(
         "smoke_index_pages",
         "Index-structure page accesses over the smoke batch",
@@ -149,21 +145,20 @@ def run_smoke(
                         ).inc(count)
     _run_batch_leg(registry, structures[0][1], n, size, k, count)
     if shards > 1:
-        _run_shard_leg(registry, n, size, k, count, shards, build_workers)
+        _run_shard_leg(registry, n, size, k, count, shards)
     if data_dir is not None:
         _run_durable_leg(registry, n, size, k, count, data_dir)
     return registry
 
 
 def _run_build_leg(
-    registry: MetricsRegistry, n: int, size: str, k: int, build_workers: int
+    registry: MetricsRegistry, n: int, size: str, k: int
 ) -> None:
     """Time a full index build and count its page traffic.
 
-    Adds ``smoke_build_pages`` (deterministic — the parallel and serial
-    build paths stage identical keys, so the page layout and the
-    logical write count are byte-identical) and the informational
-    ``smoke_build_seconds`` histogram. The relation is regenerated from
+    Adds ``smoke_build_pages`` (deterministic — same relation, same
+    keys, same page layout and logical write count) and the
+    informational ``smoke_build_seconds`` histogram. The relation is regenerated from
     scratch so tuple-extension memoisation in the shared harness cache
     cannot hide build work.
     """
@@ -176,8 +171,7 @@ def _run_build_leg(
     start = time.perf_counter()
     with pager.measure() as scope:
         DualIndexPlanner.build(
-            relation, SlopeSet.uniform_angles(k), pager=pager,
-            workers=build_workers,
+            relation, SlopeSet.uniform_angles(k), pager=pager
         )
     elapsed = time.perf_counter() - start
     registry.counter(
@@ -187,9 +181,8 @@ def _run_build_leg(
     registry.histogram(
         "smoke_build_seconds",
         "Index build wall time (informational; never gated)",
-        labelnames=("workers",),
         buckets=(0.01, 0.1, 1.0, 10.0, 60.0),
-    ).labels(workers=str(build_workers)).observe(elapsed)
+    ).observe(elapsed)
 
 
 def _run_shard_leg(
@@ -199,7 +192,6 @@ def _run_shard_leg(
     k: int,
     count: int,
     shards: int,
-    build_workers: int,
 ) -> None:
     """Optional sharded-engine leg (``--shards N`` with N > 1).
 
@@ -223,7 +215,6 @@ def _run_shard_leg(
         make_relation(n, size, seed=harness.SEED),
         SlopeSet.uniform_angles(k),
         shards=shards,
-        workers=build_workers,
         registry=registry,
     )
     try:
@@ -391,12 +382,6 @@ def main(argv: list[str] | None = None) -> int:
              "re-pinned)",
     )
     parser.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the build leg (default 0 = serial "
-             "legacy path; >=2 uses the parallel vectorized path — the "
-             "built index is byte-identical either way)",
-    )
-    parser.add_argument(
         "--data-dir", default=None,
         help="run the whole workload file-backed (sets REPRO_DATA_DIR) "
              "under this directory and add the durable save/open leg; "
@@ -410,8 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         # Every default pager in this process now runs file-backed.
         os.environ["REPRO_DATA_DIR"] = args.data_dir
 
-    registry = run_smoke(shards=args.shards, build_workers=args.build_workers,
-                         data_dir=args.data_dir)
+    registry = run_smoke(shards=args.shards, data_dir=args.data_dir)
     current = registry.collect()
     with open(args.out, "w") as handle:
         handle.write(registry.export_json())

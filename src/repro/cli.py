@@ -15,14 +15,13 @@ Commands
     Same arguments as ``query``, but runs it under a
     :class:`repro.obs.QueryTrace` and prints the span tree — per-phase
     logical/physical I/O and wall times (``--json`` for the raw trace).
-``batch --tuples FILE --queries FILE [--shards N --build-workers M]``
+``batch --tuples FILE --queries FILE [--shards N]``
     Index a relation and answer a whole query file through the batch
     execution engine (:mod:`repro.exec`): merged sweeps for
     restricted-slope groups, vectorized dual evaluation elsewhere, LRU
     result caching — with a shared-work page-access summary.
     ``--shards N`` partitions the relation across N independent shards
-    (:mod:`repro.shard`) and fans the batch out; ``--build-workers M``
-    computes build keys on an M-process pool.
+    (:mod:`repro.shard`) and runs the batch on each shard in turn.
 ``explain [--workload fig9-medium | --tuples FILE --queries FILE] [--shards N]``
     Run one query workload under a trace and print the explain report:
     the span tree, exclusive per-phase page/time attribution (checked
@@ -30,12 +29,11 @@ Commands
     ratios, cache outcomes, and per-shard work rows. ``--chrome-out``
     exports a Perfetto-openable Chrome trace, ``--events-out`` a JSONL
     event dump.
-``stats [--n N --size small|medium --k K --queries Q --shards S --build-workers W]``
+``stats [--n N --size small|medium --k K --queries Q --shards S]``
     Run a query batch and print the metrics-registry snapshot
     (includes the batch executor's ``exec_*`` cache counters and, with
-    ``--shards``/``--build-workers``, the merged ``shard=i``/
-    ``worker=j`` fleet series). ``--format prom`` emits Prometheus text
-    exposition instead of JSON.
+    ``--shards``, the merged ``shard=i`` fleet series). ``--format
+    prom`` emits Prometheus text exposition instead of JSON.
 ``bench-diff BASELINE CURRENT [--threshold F --mode ceiling|floor]``
     Per-counter delta report between two bench/smoke JSON artifacts;
     exits non-zero when a counter regresses beyond the threshold.
@@ -45,15 +43,14 @@ Commands
 ``overhead [--budget F --repeats N]``
     Measure traced vs untraced query wall time (best-of-N) and fail
     when tracing exceeds the fractional budget.
-``smoke [--out FILE --baseline FILE --update-baseline --shards N --build-workers M]``
+``smoke [--out FILE --baseline FILE --update-baseline --shards N]``
     The CI perf-smoke gate (see :mod:`repro.bench.smoke`). The baseline
     lives at ``benchmarks/baselines/smoke.json`` relative to the
     repository root; ``--baseline PATH`` overrides the convention.
 ``shard-bench [--out FILE --n N --size small|medium --k K --repeats R]``
-    Build-throughput (1 vs 4 workers) and sharded query-side QPS
-    (1/2/4 shards, wall + critical-path span) benchmark on the
-    fig9-medium workload; writes ``BENCH_shard.json`` and fails unless
-    4-shard critical-path QPS beats 1-shard
+    Sharded query-side QPS (1/2/4 shards, wall + critical-path span)
+    benchmark on the fig9-medium workload; writes ``BENCH_shard.json``
+    and fails unless 4-shard critical-path QPS beats 1-shard
     (see :mod:`repro.bench.shard_bench`).
 ``vector-bench [--out FILE --n N --size small|medium --k K --repeats R]``
     Columnar batch throughput on the fig9-medium slope-group fan;
@@ -220,11 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hash-partition the relation across N independent shards "
              "and fan the batch out (default 1 = single engine)",
     )
-    batch.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the index build (default 0 = serial; "
-             ">=2 computes keys on a process pool — same index bytes)",
-    )
 
     explain = sub.add_parser(
         "explain",
@@ -265,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1,
         help="run against a sharded engine with N shards (per-shard "
              "rows appear in the report)",
-    )
-    explain.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the index build",
     )
     explain.add_argument(
         "--batch", action="store_true",
@@ -313,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
              "merge into the output as shard_*{shard=i}",
     )
     stats.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the build leg; pool workers report "
-             "build_worker_*{worker=j} series",
-    )
-    stats.add_argument(
         "--data-dir", default=None,
         help="also run the durable save/open leg under this directory; "
              "its WAL/checkpoint counters (wal_appends, wal_fsyncs, "
@@ -353,10 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run a sharded-engine smoke leg with N shards",
     )
     smoke.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the smoke build leg",
-    )
-    smoke.add_argument(
         "--data-dir", default=None,
         help="run the whole workload file-backed (REPRO_DATA_DIR) under "
              "this directory and add a durable save/open leg whose "
@@ -365,13 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     shard_bench = sub.add_parser(
         "shard-bench",
-        help="build-throughput + sharded-QPS benchmark (BENCH_shard.json)",
+        help="sharded-QPS benchmark (BENCH_shard.json)",
         description=(
             "Benchmark the sharded dual-transform engine on the "
-            "fig9-medium workload: full-index build wall time at 1 vs 4 "
-            "workers, and batch query throughput at 1/2/4 shards with a "
-            "correctness check against the unsharded planner. Writes "
-            "BENCH_shard.json."
+            "fig9-medium workload: batch query throughput at 1/2/4 "
+            "shards with a correctness check against the unsharded "
+            "planner. Writes BENCH_shard.json."
         ),
     )
     shard_bench.add_argument(
@@ -388,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="workload seed")
     shard_bench.add_argument(
         "--repeats", type=int, default=None,
-        help="timed build attempts per worker count (best-of; default 2)",
+        help="best-of timing repeats of the query leg (never fewer "
+             "than 3; default 2)",
     )
 
     vector_bench = sub.add_parser(
@@ -543,10 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     save.add_argument(
         "--shards", type=int, default=1,
         help="hash-partition across N shards (default 1)",
-    )
-    save.add_argument(
-        "--build-workers", type=int, default=0,
-        help="worker processes for the index build",
     )
 
     open_cmd = sub.add_parser(
@@ -1110,7 +1085,6 @@ def _trace(args) -> int:
 def _load_relation(
     path: str,
     slopes_arg: str | None,
-    build_workers: int = 0,
     shards: int = 1,
 ):
     """Parse a tuple file and build an engine (shared loader).
@@ -1138,11 +1112,9 @@ def _load_relation(
         from repro.shard import ShardedDualIndex
 
         return relation, ShardedDualIndex.build(
-            relation, slopes, shards=shards, workers=build_workers
+            relation, slopes, shards=shards
         )
-    return relation, DualIndexPlanner.build(
-        relation, slopes, workers=build_workers
-    )
+    return relation, DualIndexPlanner.build(relation, slopes)
 
 
 def _parse_query_file(path: str):
@@ -1189,8 +1161,7 @@ def _batch(args) -> int:
         planner = open_engine(args.data_dir)
     else:
         relation, planner = _load_relation(
-            args.tuples, args.slopes,
-            build_workers=args.build_workers, shards=args.shards,
+            args.tuples, args.slopes, shards=args.shards
         )
         if relation is None:
             print("no tuples found", file=sys.stderr)
@@ -1299,21 +1270,18 @@ def _explain(args) -> int:
             from repro.shard import ShardedDualIndex
 
             engine = ShardedDualIndex.build(
-                relation, SlopeSet.uniform_angles(k),
-                shards=args.shards, workers=args.build_workers,
+                relation, SlopeSet.uniform_angles(k), shards=args.shards
             )
         else:
             engine = DualIndexPlanner.build(
-                relation, SlopeSet.uniform_angles(k),
-                workers=args.build_workers,
+                relation, SlopeSet.uniform_angles(k)
             )
     else:
         if args.queries is None:
             print("explain: --tuples needs --queries", file=sys.stderr)
             return 2
         relation, engine = _load_relation(
-            args.tuples, args.slopes,
-            build_workers=args.build_workers, shards=args.shards,
+            args.tuples, args.slopes, shards=args.shards
         )
         if relation is None:
             print("no tuples found", file=sys.stderr)
@@ -1344,11 +1312,10 @@ def _stats(args) -> int:
     from repro.obs import get_registry
 
     # The process-global registry, so fleet series merged from shard
-    # and build-worker registries land in the same snapshot we print.
+    # registries land in the same snapshot we print.
     registry = run_smoke(
         get_registry(), n=args.n, size=args.size, k=args.k,
-        count=args.queries, shards=args.shards,
-        build_workers=args.build_workers, data_dir=args.data_dir,
+        count=args.queries, shards=args.shards, data_dir=args.data_dir,
     )
     if args.format == "prom":
         sys.stdout.write(registry.export_prom())
@@ -1430,8 +1397,6 @@ def _smoke(args) -> int:
         argv.append("--update-baseline")
     if args.shards != 1:
         argv += ["--shards", str(args.shards)]
-    if args.build_workers:
-        argv += ["--build-workers", str(args.build_workers)]
     if args.data_dir:
         argv += ["--data-dir", args.data_dir]
     return smoke.main(argv)
@@ -1441,8 +1406,7 @@ def _save(args) -> int:
     from repro.storage import save_engine
 
     relation, engine = _load_relation(
-        args.tuples, args.slopes,
-        build_workers=args.build_workers, shards=args.shards,
+        args.tuples, args.slopes, shards=args.shards
     )
     if relation is None:
         print("no tuples found", file=sys.stderr)

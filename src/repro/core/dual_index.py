@@ -33,6 +33,7 @@ from repro.constraints.relation import GeneralizedRelation
 from repro.constraints.tuples import GeneralizedTuple
 from repro.errors import IndexError_, QueryError
 from repro.geometry import dual
+from repro.geometry.vectorized import DualSurface
 from repro.obs import trace as obs
 from repro.storage.heap import HeapFile
 from repro.storage.pager import Pager
@@ -71,6 +72,81 @@ class EntryKeys:
     bot: list[float]
     assign_top: list[dict[str, float | None]]
     assign_bot: list[dict[str, float | None]]
+
+
+def needed_slopes(slopes: SlopeSet) -> list[float]:
+    """Every slope the key derivation probes: the k tree slopes followed
+    by each distinct strip midpoint toward a neighbour (k-1 of them)."""
+    out: list[float] = list(slopes)
+    seen = set(out)
+    for i in range(len(slopes)):
+        for side in _SIDES:
+            strip = slopes.strip(i, side)
+            if strip is not None and strip[1] not in seen:
+                seen.add(strip[1])
+                out.append(strip[1])
+    return out
+
+
+def compute_keys_batch(
+    items: Iterable[tuple[int, GeneralizedTuple]],
+    slopes: SlopeSet,
+) -> dict[int, EntryKeys | None]:
+    """:class:`EntryKeys` for many tuples, one vectorized pass per slope.
+
+    Each tuple's ``TOP``/``BOT`` is a max/min of one dual line per
+    vertex, so :class:`~repro.geometry.vectorized.DualSurface` evaluates
+    the whole relation at each of the 2k-1 probe slopes (k tree slopes
+    plus k-1 strip midpoints) in one numpy pass. Returns ``tid ->
+    EntryKeys`` with ``None`` marking unsatisfiable tuples (the build
+    skips those). Values are bit-identical to
+    :meth:`DualIndex.compute_keys` per tuple: the surface mirrors the
+    scalar support arithmetic, and the assignment keys are the same
+    ``max``/``min`` of the same endpoint values.
+    """
+    result: dict[int, EntryKeys | None] = {}
+    sat: list[tuple[int, GeneralizedTuple]] = []
+    for tid, t in items:
+        if t.is_satisfiable():
+            sat.append((tid, t))
+        else:
+            result[tid] = None
+    if not sat:
+        return result
+    surface = DualSurface.from_items(sat)
+    probe = needed_slopes(slopes)
+    tops = {s: surface.top_at(s).tolist() for s in probe}
+    bots = {s: surface.bot_at(s).tolist() for s in probe}
+    strips = [
+        {side: slopes.strip(i, side) for side in _SIDES}
+        for i in range(len(slopes))
+    ]
+    for row, (tid, _t) in enumerate(sat):
+        assign_top: list[dict[str, float | None]] = []
+        assign_bot: list[dict[str, float | None]] = []
+        for per_side in strips:
+            at: dict[str, float | None] = {}
+            ab: dict[str, float | None] = {}
+            for side, strip in per_side.items():
+                if strip is None:
+                    at[side] = None
+                    ab[side] = None
+                else:
+                    a, b = strip
+                    # strip_top_max/strip_bot_min: the extremum over the
+                    # strip is attained at an endpoint (TOP convex, BOT
+                    # concave), so max/min of the two probed values.
+                    at[side] = max(tops[a][row], tops[b][row])
+                    ab[side] = min(bots[a][row], bots[b][row])
+            assign_top.append(at)
+            assign_bot.append(ab)
+        result[tid] = EntryKeys(
+            [tops[s][row] for s in slopes],
+            [bots[s][row] for s in slopes],
+            assign_top,
+            assign_bot,
+        )
+    return result
 
 
 class KeysLRU:
@@ -272,23 +348,15 @@ class DualIndex:
     # ------------------------------------------------------------------
     # bulk build
     # ------------------------------------------------------------------
-    def build(
-        self,
-        relation: GeneralizedRelation,
-        fill: float = 0.9,
-        workers: int = 0,
-    ) -> None:
+    def build(self, relation: GeneralizedRelation, fill: float = 0.9) -> None:
         """Index a whole relation: heap records, 2k bulk-loaded trees,
         one merge pass of handicap aggregates, and (in dynamic mode) the
         handicap directories. Unsatisfiable tuples are skipped and listed
         in :attr:`skipped`.
 
-        ``workers >= 2`` computes :class:`EntryKeys` in parallel: the
-        relation is chunked across a process pool and each worker
-        evaluates all slopes per tuple in one vectorized pass
-        (:mod:`repro.shard.keys`). ``workers <= 1`` is the legacy serial
-        scalar path. Both paths stage identical keys, so the resulting
-        index layout is byte-identical either way.
+        Keys come from :func:`compute_keys_batch` — one vectorized pass
+        per probe slope over the whole relation, bit-identical to
+        :meth:`compute_keys` per tuple.
         """
         if self.size:
             raise IndexError_("build on a non-empty index")
@@ -297,22 +365,18 @@ class DualIndex:
                 "DualIndex is the 2-D structure; use DDimDualIndex for d > 2"
             )
         with obs.span("build", pager=self.pager, index=self.name,
-                      tuples=len(relation), workers=workers):
-            precomputed = None
-            if workers and workers >= 2:
-                from repro.shard.keys import parallel_compute_keys
-
-                precomputed = parallel_compute_keys(
-                    relation, self.slopes, workers
-                )
-            self._build(relation, fill, precomputed)
+                      tuples=len(relation)):
+            keys = compute_keys_batch(relation, self.slopes)
+            self._build(relation, fill, keys)
 
     def _build(
         self,
         relation: GeneralizedRelation,
         fill: float,
-        precomputed: "Mapping[int, EntryKeys | None] | None" = None,
+        keys: "Mapping[int, EntryKeys | None]",
     ) -> None:
+        """Stage ``relation`` under precomputed ``keys`` (``tid ->
+        EntryKeys``, ``None`` marking an unsatisfiable tuple to skip)."""
         k = len(self.slopes)
         up_entries: list[list[tuple[float, int]]] = [[] for _ in range(k)]
         down_entries: list[list[tuple[float, int]]] = [[] for _ in range(k)]
@@ -324,30 +388,24 @@ class DualIndex:
         middle = len(self.slopes) // 2
         staged: list[tuple[float, int, GeneralizedTuple, EntryKeys]] = []
         for tid, t in relation:
-            if precomputed is not None:
-                keys = precomputed.get(tid)
-                if keys is None:
-                    self.skipped.append(tid)
-                    continue
-            else:
-                if not t.is_satisfiable():
-                    self.skipped.append(tid)
-                    continue
-                keys = self.compute_keys(t)
-            cluster_key = keys.top[middle]
+            entry = keys.get(tid)
+            if entry is None:
+                self.skipped.append(tid)
+                continue
+            cluster_key = entry.top[middle]
             if not math.isfinite(cluster_key):
                 cluster_key = math.copysign(1e30, cluster_key)
-            staged.append((cluster_key, tid, t, keys))
+            staged.append((cluster_key, tid, t, entry))
         staged.sort(key=lambda item: item[0])
-        for _cluster_key, tid, t, keys in staged:
+        for _cluster_key, tid, t, entry in staged:
             rid = self.heap.insert(encode_tuple(tid, t))
             self.rid_of[tid] = rid
             self.tid_of[rid] = tid
-            keys_by_rid[rid] = keys
-            self.keys_cache[rid] = keys
+            keys_by_rid[rid] = entry
+            self.keys_cache[rid] = entry
             for i in range(k):
-                up_entries[i].append((keys.top[i], rid))
-                down_entries[i].append((keys.bot[i], rid))
+                up_entries[i].append((entry.top[i], rid))
+                down_entries[i].append((entry.bot[i], rid))
             self.size += 1
         for i in range(k):
             self.up[i].bulk_load(up_entries[i], fill)

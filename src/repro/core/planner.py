@@ -109,15 +109,9 @@ class DualIndexPlanner:
         dynamic: bool = False,
         fill: float = 0.9,
         pivot_x: float = 0.0,
-        workers: int = 0,
         name: str = "dual",
     ) -> "DualIndexPlanner":
-        """Index a relation and return a ready planner.
-
-        ``workers >= 2`` builds the key set on a process pool with
-        vectorized per-worker evaluation (see :meth:`DualIndex.build`);
-        the resulting index is byte-identical to a serial build.
-        """
+        """Index a relation and return a ready planner."""
         index = DualIndex(
             pager=pager,
             slopes=slopes,
@@ -125,7 +119,7 @@ class DualIndexPlanner:
             dynamic=dynamic,
             name=name,
         )
-        index.build(relation, fill, workers=workers)
+        index.build(relation, fill)
         return cls(index, technique=technique, pivot_x=pivot_x)
 
     # ------------------------------------------------------------------

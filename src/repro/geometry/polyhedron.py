@@ -30,6 +30,11 @@ from repro.geometry.hull import convex_hull_2d, polygon_area, polygon_centroid
 if TYPE_CHECKING:  # pragma: no cover
     from repro.constraints.tuples import GeneralizedTuple
 
+#: Polyhedra per batched warm-up pass. The padded candidate arrays are
+#: polyhedra × plane pairs × planes, so fixed slices keep the warmers'
+#: temporaries bounded however large the relation is.
+WARM_CHUNK = 256
+
 
 class ConvexPolyhedron:
     """The solution set of a generalized tuple, with cached geometry."""
@@ -281,16 +286,17 @@ def warm_boundedness(polys: Sequence["ConvexPolyhedron"]) -> None:
     scalar property. This is what makes bulk paths (the vectorized
     build, :class:`~repro.geometry.vectorized.DualSurface`) cheap: the
     per-tuple boundedness question is their dominant cost otherwise.
+    Runs over slices of :data:`WARM_CHUNK` polyhedra.
     """
     todo = [
         p for p in polys
         if p._bounded is None and p._dim == 2 and not p.is_empty
     ]
-    if not todo:
-        return
-    mask = pointed_many([cone_normals(p._as_ineqs2d()) for p in todo])
-    for poly, flag in zip(todo, mask):
-        poly._bounded = bool(flag)
+    for lo in range(0, len(todo), WARM_CHUNK):
+        chunk = todo[lo : lo + WARM_CHUNK]
+        mask = pointed_many([cone_normals(p._as_ineqs2d()) for p in chunk])
+        for poly, flag in zip(chunk, mask):
+            poly._bounded = bool(flag)
 
 
 def warm_vertices(polys: Sequence["ConvexPolyhedron"]) -> None:
@@ -304,14 +310,18 @@ def warm_vertices(polys: Sequence["ConvexPolyhedron"]) -> None:
     vertices are exactly what the property would have computed. Padding
     rows are ``(0, 0, 0)``: their determinant with any line is 0 (never
     a candidate pair) and their feasibility slack is 0 (never rejects a
-    point).
+    point), so running over slices of :data:`WARM_CHUNK` polyhedra (each
+    padded to its own widest member) changes no result.
     """
     todo = [
         p for p in polys
         if p._vertices is None and p._dim == 2 and not p.is_empty
     ]
-    if not todo:
-        return
+    for lo in range(0, len(todo), WARM_CHUNK):
+        _warm_vertex_slice(todo[lo : lo + WARM_CHUNK])
+
+
+def _warm_vertex_slice(todo: Sequence["ConvexPolyhedron"]) -> None:
     ineqs_list = [p._as_ineqs2d() for p in todo]
     m_max = max(len(ineqs) for ineqs in ineqs_list)
     if m_max < 2:

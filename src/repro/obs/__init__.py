@@ -21,10 +21,9 @@ carries a first-class measurement layer:
   entries carry enough state (query atoms, engine identity, answer
   digest, span tree) to replay bit-identically offline.
 
-Fleet aggregation: shards and build workers record into private
-registries and ship :class:`RegistrySnapshot` objects back; the global
-registry absorbs them as ``shard=i`` / ``worker=j`` labeled series (see
-:meth:`MetricsRegistry.absorb`).
+Fleet aggregation: shards record into private registries and ship
+:class:`RegistrySnapshot` objects back; the global registry absorbs
+them as ``shard=i`` labeled series (see :meth:`MetricsRegistry.absorb`).
 
 Hot paths are instrumented through the module-level hooks below
 (:func:`span`, :func:`incr`): when no trace is active they reduce to one

@@ -417,12 +417,12 @@ def _prom_labels(labels: Mapping[str, str]) -> str:
 class RegistrySnapshot:
     """Raw, mergeable state of a registry — the fleet-aggregation unit.
 
-    Shards and process-pool build workers record into private
-    registries; a snapshot of each travels back (snapshots are plain
-    data, so they pickle across process boundaries), gets relabeled via
-    :meth:`with_labels` (``shard=i`` / ``worker=j``), and merges into
-    the global registry through :meth:`MetricsRegistry.absorb` — which
-    is how ``repro stats`` sees sharded and parallel-build traffic.
+    Shards record into private registries; a snapshot of each travels
+    back (snapshots are plain data, so they also pickle across process
+    boundaries), gets relabeled via :meth:`with_labels` (``shard=i``),
+    and merges into the global registry through
+    :meth:`MetricsRegistry.absorb` — which is how ``repro stats`` sees
+    sharded traffic.
 
     ``families`` maps metric name to ``{"kind", "help", "labelnames",
     "buckets" (histograms), "series": [(labelvalues, state), ...]}``

@@ -16,10 +16,9 @@ on each shard in turn and the per-shard results merge:
   the single-engine pages).
 
 Determinism: per-shard execution is exactly the unsharded engine on the
-shard's sub-relation, key computation is bit-identical (see
-:mod:`repro.shard.keys`), and the union of disjoint exact answer sets
-is order-independent — so sharded answers are bit-identical to the
-unsharded engine's for every N.
+shard's sub-relation, a tuple's keys depend only on its own geometry,
+and the union of disjoint exact answer sets is order-independent — so
+sharded answers are bit-identical to the unsharded engine's for every N.
 
 Shards run one after another on the calling thread. The per-shard work
 is CPU-bound Python and numpy, so threads under the interpreter lock
@@ -139,7 +138,6 @@ class ShardedDualIndex:
         relation: GeneralizedRelation,
         slopes: SlopeSet | Iterable[float],
         shards: int = 2,
-        workers: int = 0,
         key_bytes: int = 4,
         technique: str = "T2",
         fill: float = 0.9,
@@ -149,8 +147,7 @@ class ShardedDualIndex:
     ) -> "ShardedDualIndex":
         """Partition ``relation`` into ``shards`` sub-relations by tuple
         id and build one full planner per shard (each with its own
-        pager unless ``pager_factory`` supplies them). ``workers`` is
-        forwarded to every shard's parallel build path.
+        pager unless ``pager_factory`` supplies them).
         """
         if shards < 1:
             raise IndexError_("shards must be >= 1")
@@ -159,7 +156,7 @@ class ShardedDualIndex:
         for tid, _t in relation:
             parts[shard_of(tid, shards)].append(tid)
         planners = []
-        with obs.span("build.sharded", shards=shards, workers=workers):
+        with obs.span("build.sharded", shards=shards):
             for n, ids in enumerate(parts):
                 sub = relation.subset(ids, name=f"{relation.name}[{n}]")
                 pager = pager_factory(n) if pager_factory is not None else None
@@ -172,7 +169,6 @@ class ShardedDualIndex:
                         technique=technique,
                         fill=fill,
                         pivot_x=pivot_x,
-                        workers=workers,
                         name=f"shard{n}",
                     )
                 )

@@ -108,7 +108,6 @@ def relation_from_planner(planner: DualIndexPlanner) -> GeneralizedRelation:
 def rebuild_planner(
     planner: DualIndexPlanner,
     slopes: SlopeSet | Sequence[float],
-    workers: int = 0,
     relation: GeneralizedRelation | None = None,
 ) -> DualIndexPlanner:
     """Re-index a planner's live tuples under a new slope set.
@@ -134,7 +133,6 @@ def rebuild_planner(
         technique=planner.technique,
         dynamic=planner.index.dynamic,
         pivot_x=planner.pivot_x,
-        workers=workers,
         name=planner.index.name,
     )
     registry = get_registry()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import DualIndexPlanner, HalfPlaneQuery, SlopeSet
+from repro.core import DualIndex, DualIndexPlanner, HalfPlaneQuery, SlopeSet
 from repro.errors import IndexError_
 from repro.geometry.predicates import evaluate_relation
 from repro.geometry.vectorized import DualSurface
@@ -178,31 +178,38 @@ def test_dynamic_shards_batch_matches_oracle_after_updates():
 
 
 def test_parallel_sharded_build_matches_serial_layout():
+    """Every shard's leaves (keys, rids, aux) equal those of an index
+    staged from scalar :meth:`DualIndex.compute_keys`."""
     slopes = SlopeSet.uniform_angles(3)
-    serial = ShardedDualIndex.build(
-        make_relation(90, "small", seed=21), slopes, shards=2, workers=0
+    relation = make_relation(90, "small", seed=21)
+    engine = ShardedDualIndex.build(
+        make_relation(90, "small", seed=21), slopes, shards=2
     )
-    parallel = ShardedDualIndex.build(
-        make_relation(90, "small", seed=21), slopes, shards=2, workers=4
-    )
+
+    def leaves(tree):
+        return [
+            (v.leaf.keys, v.leaf.rids, v.leaf.aux)
+            for v in tree.sweep_up(float("-inf"))
+        ]
+
     try:
-        for a, b in zip(serial.planners, parallel.planners):
-            for ta, tb in zip(
-                a.index.up + a.index.down, b.index.up + b.index.down
-            ):
-                la = [
-                    (v.leaf.keys, v.leaf.rids, v.leaf.aux)
-                    for v in ta.sweep_up(float("-inf"))
-                ]
-                lb = [
-                    (v.leaf.keys, v.leaf.rids, v.leaf.aux)
-                    for v in tb.sweep_up(float("-inf"))
-                ]
-                assert la == lb, ta.name
-            assert a.index.assign_extrema == b.index.assign_extrema
+        for n, planner in enumerate(engine.planners):
+            sub = relation.subset(
+                [tid for tid, _t in relation if shard_of(tid, 2) == n]
+            )
+            staged = DualIndex(slopes=slopes, name=f"shard{n}")
+            keys = {
+                tid: staged.compute_keys(t) if t.is_satisfiable() else None
+                for tid, t in sub
+            }
+            staged._build(sub, 0.9, keys)
+            built = planner.index
+            for ta, tb in zip(built.up + built.down, staged.up + staged.down):
+                assert leaves(ta) == leaves(tb), ta.name
+            assert built.assign_extrema == staged.assign_extrema
+            assert built.skipped == staged.skipped
     finally:
-        serial.close()
-        parallel.close()
+        engine.close()
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
