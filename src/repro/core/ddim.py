@@ -25,14 +25,14 @@ from typing import Sequence
 
 from repro.btree.tree import BPlusTree
 from repro.constraints.relation import GeneralizedRelation
+from repro.core.planner import refine_candidates
 from repro.core.proximity import KDTree, voronoi_neighbors
 from repro.core.query import ALL, EXIST, HalfPlaneQuery, QueryResult
 from repro.errors import IndexError_, QueryError, SlopeSetError
 from repro.geometry import dual
 from repro.obs import trace as obs
-from repro.geometry.predicates import all_halfplane, exist_halfplane
 from repro.storage.disk import NULL_PAGE
-from repro.storage.heap import HeapFile, unpack_rid
+from repro.storage.heap import HeapFile
 from repro.storage.pager import Pager
 from repro.storage.serialize import KeyCodec, decode_tuple, encode_tuple
 
@@ -363,21 +363,9 @@ class DDimPlanner:
             trace = self._t2(query)
         result = QueryResult(technique=f"T2-d{self.index.dimension}")
         result.candidates = len(trace.candidates)
-        rids = list(trace.candidates)
-        result.refinement_pages = len({unpack_rid(r)[0] for r in rids})
-        predicate = all_halfplane if query.query_type == ALL else exist_halfplane
-        with obs.span("fetch"):
-            records = self.index.heap.fetch_batch(rids)
-        with obs.span("verify"):
-            for data in records.values():
-                tid, t = decode_tuple(data)
-                if predicate(
-                    t.extension(), query.slope, query.intercept, query.theta
-                ):
-                    result.ids.add(tid)
-                else:
-                    result.false_hits += 1
-            obs.incr("refine.false_hits", result.false_hits)
+        result.ids, result.false_hits, result.refinement_pages = (
+            refine_candidates(self.index.heap, query, trace.candidates)
+        )
         return result
 
     def _t2(self, query: HalfPlaneQuery) -> DDimTrace:

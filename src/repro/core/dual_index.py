@@ -33,6 +33,7 @@ from repro.constraints.relation import GeneralizedRelation
 from repro.constraints.tuples import GeneralizedTuple
 from repro.errors import IndexError_, QueryError
 from repro.geometry import dual
+from repro.geometry.polyhedron import warm_batch
 from repro.geometry.vectorized import DualSurface
 from repro.obs import trace as obs
 from repro.storage.heap import HeapFile
@@ -105,12 +106,16 @@ def compute_keys_batch(
     ``max``/``min`` of the same endpoint values.
     """
     result: dict[int, EntryKeys | None] = {}
+    items = list(items)
+    # One batched pass settles every tuple's emptiness (and warms the
+    # vertices and boundedness the surface reads next).
+    warm_batch([t.extension() for _tid, t in items])
     sat: list[tuple[int, GeneralizedTuple]] = []
     for tid, t in items:
-        if t.is_satisfiable():
-            sat.append((tid, t))
-        else:
+        if t.extension().is_empty:
             result[tid] = None
+        else:
+            sat.append((tid, t))
     if not sat:
         return result
     surface = DualSurface.from_items(sat)

@@ -8,9 +8,13 @@ Given a half-plane query, the planner picks the cheapest sound path:
 * slope ∉ S, wrap-around (outside ``(min S, max S)``) or technique
   forced to T1 → two app-queries (Section 4.1);
 
-and then *refines*: every candidate RID is fetched from the heap (one
-counted page access each) and checked against the exact ALL/EXIST
-predicate, so the final answer always equals the oracle's.
+and then *refines* (:func:`refine_candidates`): every candidate RID is
+fetched from the heap (one counted page access per distinct page) and
+the fetched candidates are tested in one vectorized Proposition 2.2
+pass (:class:`~repro.geometry.vectorized.DualSurface`), bit-identical to
+the exact ALL/EXIST predicate, so the final answer always equals the
+oracle's. The R-tree and d-dimensional planners refine through the same
+function.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ from repro.core.slope_set import SlopeSet
 from repro.errors import QueryError
 from repro.obs import slopelog
 from repro.obs import trace as obs
+from repro.geometry.polyhedron import WARM_CHUNK
 from repro.geometry.predicates import all_halfplane, exist_halfplane
+from repro.geometry.vectorized import DualSurface
+from repro.storage.heap import HeapFile, unpack_rid
 from repro.storage.pager import Pager
 from repro.storage.serialize import KeyCodec
 
@@ -264,7 +271,9 @@ class DualIndexPlanner:
         result.accepted_without_refinement = int(accepted.size)
         result.candidates = int(accepted.size + boundary.size)
         result.ids = set(self.index.tids_for_rids(accepted).tolist())
-        confirmed, false_hits, pages = self._refine(query, boundary.tolist())
+        confirmed, false_hits, pages = refine_candidates(
+            self.index.heap, query, boundary.tolist()
+        )
         result.ids |= confirmed
         result.false_hits = false_hits
         result.refinement_pages = pages
@@ -275,8 +284,8 @@ class DualIndexPlanner:
         result = QueryResult(technique="T1")
         result.candidates = len(rids)
         result.duplicates = duplicates
-        result.ids, result.false_hits, result.refinement_pages = self._refine(
-            query, rids
+        result.ids, result.false_hits, result.refinement_pages = (
+            refine_candidates(self.index.heap, query, rids)
         )
         return result
 
@@ -284,44 +293,67 @@ class DualIndexPlanner:
         trace = t2_candidates(self.index, query)
         result = QueryResult(technique="T2")
         result.candidates = len(trace.candidates)
-        result.ids, result.false_hits, result.refinement_pages = self._refine(
-            query, trace.candidates
+        result.ids, result.false_hits, result.refinement_pages = (
+            refine_candidates(self.index.heap, query, trace.candidates)
         )
         return result
-
-    # ------------------------------------------------------------------
-    # refinement
-    # ------------------------------------------------------------------
-    def _refine(
-        self, query: HalfPlaneQuery, rids: Iterable[int]
-    ) -> tuple[set[int], int, int]:
-        """Fetch candidate records (page-batched) and apply the exact
-        predicate; the I/O cost is one page access per distinct heap page
-        holding a candidate. Returns (confirmed ids, false hits, pages)."""
-        from repro.storage.heap import unpack_rid
-        from repro.storage.serialize import decode_tuple
-
-        predicate = all_halfplane if query.query_type == ALL else exist_halfplane
-        confirmed: set[int] = set()
-        false_hits = 0
-        rids = list(rids)
-        pages = len({unpack_rid(rid)[0] for rid in rids})
-        with obs.span("fetch"):
-            records = self.index.heap.fetch_batch(rids)
-        with obs.span("verify"):
-            for data in records.values():
-                tid, t = decode_tuple(data)
-                if predicate(
-                    t.extension(), query.slope_2d, query.intercept, query.theta
-                ):
-                    confirmed.add(tid)
-                else:
-                    false_hits += 1
-            obs.incr("refine.confirmed", len(confirmed))
-            obs.incr("refine.false_hits", false_hits)
-        return confirmed, false_hits, pages
 
     def _has_dirty_leaves(self) -> bool:
         return any(
             tree.dirty_leaves for tree in self.index.up + self.index.down
         )
+
+
+def refine_candidates(
+    heap: HeapFile, query: HalfPlaneQuery, rids: Iterable[int]
+) -> tuple[set[int], int, int]:
+    """The refinement step: fetch the candidates, keep the true hits.
+
+    Fetches the candidate records page-batched (the I/O cost is one page
+    access per distinct heap page holding a candidate), decodes them and
+    applies Proposition 2.2 to many at once: one
+    :class:`~repro.geometry.vectorized.DualSurface` per slice of
+    decoded candidates, answered at the query's slope. Its surface values and
+    comparisons are bit-identical to :func:`exist_halfplane` /
+    :func:`all_halfplane` per tuple, so the confirmed set is the scalar
+    predicate's. Queries in d >= 3 (the d-dimensional planner, a 3-D
+    R-tree) take the scalar predicates instead: their supports go
+    through LP and the surface is 2-D. Used by
+    :class:`DualIndexPlanner`, :class:`repro.rtree.planner.RTreePlanner`
+    and :class:`repro.core.ddim.DDimPlanner`.
+
+    Returns ``(confirmed tuple ids, false hits, refinement pages)``.
+    """
+    # Imported here rather than bound at module level, so a wrapper
+    # installed on ``serialize.decode_tuple`` (layer tracing) sees these
+    # calls.
+    from repro.storage.serialize import decode_tuple
+
+    rids = list(rids)
+    pages = len({unpack_rid(rid)[0] for rid in rids})
+    with obs.span("fetch"):
+        payloads = list(heap.fetch_batch(rids).values())
+    predicate = all_halfplane if query.query_type == ALL else exist_halfplane
+    with obs.span("verify"):
+        confirmed: set[int] = set()
+        # Slices of WARM_CHUNK records: the decoded tuples and their
+        # cached geometry alive at once stay bounded however many
+        # candidates a query has.
+        for lo in range(0, len(payloads), WARM_CHUNK):
+            items = [decode_tuple(data) for data in payloads[lo : lo + WARM_CHUNK]]
+            if query.dimension == 2:
+                confirmed |= DualSurface.from_items(items).answer(
+                    query.query_type, query.slope_2d, query.intercept, query.theta
+                )
+            else:
+                confirmed.update(
+                    tid
+                    for tid, t in items
+                    if predicate(
+                        t.extension(), query.slope, query.intercept, query.theta
+                    )
+                )
+        false_hits = len(payloads) - len(confirmed)
+        obs.incr("refine.confirmed", len(confirmed))
+        obs.incr("refine.false_hits", false_hits)
+    return confirmed, false_hits, pages

@@ -40,6 +40,7 @@ from repro.errors import QueryError
 from repro.exec.cache import CacheKey, QueryResultCache, cache_key
 from repro.exec.grouping import ExactGroup, group_queries
 from repro.exec.partials import TECH_VECTOR, ShardPartials
+from repro.geometry.polyhedron import warm_batch
 from repro.geometry.predicates import all_halfplane, exist_halfplane
 from repro.geometry.vectorized import DualSurface
 from repro.obs import slopelog
@@ -431,7 +432,11 @@ class BatchExecutor:
     def _fetch_boundary(
         self, boundary_rids: set[int], batch: BatchResult
     ) -> dict[int, tuple[int, GeneralizedTuple]]:
-        """Fetch + decode all boundary candidates, each page once."""
+        """Fetch + decode all boundary candidates, each page once.
+
+        The decoded tuples' emptiness, vertices and boundedness are
+        settled in one batched warm-up, so the per-query predicates
+        below read cached geometry."""
         if not boundary_rids:
             return {}
         pages = {unpack_rid(rid)[0] for rid in boundary_rids}
@@ -439,7 +444,9 @@ class BatchExecutor:
         with self._io_lock, self.index.pager.pinned(pages):
             with obs.span("fetch.batch", rids=len(boundary_rids)):
                 records = self.index.heap.fetch_batch(boundary_rids)
-        return {rid: decode_tuple(data) for rid, data in records.items()}
+        decoded = {rid: decode_tuple(data) for rid, data in records.items()}
+        warm_batch([t.extension() for _tid, t in decoded.values()])
+        return decoded
 
     def _assemble_exact(
         self,

@@ -40,7 +40,8 @@ class ConvexPolyhedron:
     """The solution set of a generalized tuple, with cached geometry."""
 
     __slots__ = (
-        "_tuple",
+        "_atoms",
+        "_contradictory",
         "_dim",
         "_ineqs2d",
         "_ineqsnd",
@@ -52,11 +53,16 @@ class ConvexPolyhedron:
     )
 
     def __init__(self, source: "GeneralizedTuple") -> None:
-        self._tuple = source
+        # The atoms, not the tuple: the tuple caches its extension, so a
+        # back-reference would make every tuple a reference cycle that
+        # only the cyclic garbage collector frees — and bulk paths decode
+        # and drop thousands of tuples per query.
+        self._atoms = source.constraints
+        self._contradictory = source.syntactically_false
         self._dim = source.dimension
         self._ineqs2d: list | None = None
         self._ineqsnd: list | None = None
-        self._empty: bool | None = True if source.syntactically_false else None
+        self._empty: bool | None = True if self._contradictory else None
         self._bounded: bool | None = None
         self._vertices: list[tuple[float, ...]] | None = None
         self._rays: list[tuple[float, float]] | None = None
@@ -70,19 +76,14 @@ class ConvexPolyhedron:
         """Ambient dimension d."""
         return self._dim
 
-    @property
-    def source(self) -> "GeneralizedTuple":
-        """The generalized tuple this polyhedron is the extension of."""
-        return self._tuple
-
     def _as_ineqs2d(self):
         if self._ineqs2d is None:
-            self._ineqs2d = support2d.ineqs_from_atoms(self._tuple.constraints)
+            self._ineqs2d = support2d.ineqs_from_atoms(self._atoms)
         return self._ineqs2d
 
     def _as_ineqsnd(self):
         if self._ineqsnd is None:
-            self._ineqsnd = supportnd.ineqs_from_atoms_nd(self._tuple.constraints)
+            self._ineqsnd = supportnd.ineqs_from_atoms_nd(self._atoms)
         return self._ineqsnd
 
     # ------------------------------------------------------------------
@@ -267,31 +268,45 @@ class ConvexPolyhedron:
         return tuple(lows), tuple(highs)
 
     def contains_point(self, point: Sequence[float], tol: float = 1e-9) -> bool:
-        """Point membership (delegates to the symbolic atoms)."""
-        return self._tuple.satisfied_by(point, tol)
+        """Point membership (checked against the symbolic atoms)."""
+        if self._contradictory:
+            return False
+        return all(atom.satisfied_by(point, tol) for atom in self._atoms)
 
     def __repr__(self) -> str:
         state = "empty" if self.is_empty else ("bounded" if self.is_bounded else "unbounded")
-        return f"<ConvexPolyhedron dim={self._dim} {state} atoms={len(self._tuple)}>"
+        return f"<ConvexPolyhedron dim={self._dim} {state} atoms={len(self._atoms)}>"
 
 
-def warm_boundedness(polys: Sequence["ConvexPolyhedron"]) -> None:
-    """Batch-fill the boundedness cache of many 2-D polyhedra at once.
+def warm_batch(polys: Sequence["ConvexPolyhedron"]) -> None:
+    """Batch-settle emptiness, vertices and boundedness of many polyhedra.
 
-    Computes the same cone classification :attr:`ConvexPolyhedron.is_bounded`
-    would (via :func:`repro.geometry.cone2d.pointed_many`, bit-identical
-    to the scalar check) in one set of array passes instead of one
-    Python candidate enumeration per polyhedron. Polyhedra that already
-    know their boundedness, are empty, or are not 2-D are left for the
-    scalar property. This is what makes bulk paths (the vectorized
-    build, :class:`~repro.geometry.vectorized.DualSurface`) cheap: the
-    per-tuple boundedness question is their dominant cost otherwise.
-    Runs over slices of :data:`WARM_CHUNK` polyhedra.
+    The scalar properties answer these one polyhedron at a time in pure
+    Python; bulk paths (the vectorized build, every
+    :class:`~repro.geometry.vectorized.DualSurface`, the batch executor's
+    boundary fetch) ask them of hundreds of freshly decoded tuples at
+    once, and that is their dominant cost otherwise. Emptiness comes
+    first, from the same padded vertex enumeration that fills the vertex
+    cache (see :func:`_warm_vertex_slice`); boundedness follows, from
+    one batched cone pass over the non-empty ones
+    (:func:`repro.geometry.cone2d.pointed_many`, bit-identical to the
+    scalar check). Every cached value equals what the scalar property
+    would have computed. Polyhedra that already know the answers, or
+    are not 2-D, are left to the scalar properties. Runs over slices of
+    :data:`WARM_CHUNK` polyhedra.
     """
-    todo = [
-        p for p in polys
-        if p._bounded is None and p._dim == 2 and not p.is_empty
-    ]
+    flat = [p for p in polys if p._dim == 2]
+    todo = [p for p in flat if p._vertices is None and not p._empty]
+    for lo in range(0, len(todo), WARM_CHUNK):
+        _warm_vertex_slice(todo[lo : lo + WARM_CHUNK])
+    todo = []
+    for poly in flat:
+        if poly.is_empty:
+            # The scalar properties' conventions for an empty extension.
+            poly._vertices = []
+            poly._bounded = True
+        elif poly._bounded is None:
+            todo.append(poly)
     for lo in range(0, len(todo), WARM_CHUNK):
         chunk = todo[lo : lo + WARM_CHUNK]
         mask = pointed_many([cone_normals(p._as_ineqs2d()) for p in chunk])
@@ -299,8 +314,8 @@ def warm_boundedness(polys: Sequence["ConvexPolyhedron"]) -> None:
             poly._bounded = bool(flag)
 
 
-def warm_vertices(polys: Sequence["ConvexPolyhedron"]) -> None:
-    """Batch-fill the vertex cache of many 2-D polyhedra at once.
+def _warm_vertex_slice(todo: Sequence["ConvexPolyhedron"]) -> None:
+    """Fill ``_empty`` and ``_vertices`` for one slice of 2-D polyhedra.
 
     Runs the same candidate enumeration as :meth:`ConvexPolyhedron.vertices`
     — pairwise constraint-line intersections, the same determinant and
@@ -310,25 +325,20 @@ def warm_vertices(polys: Sequence["ConvexPolyhedron"]) -> None:
     vertices are exactly what the property would have computed. Padding
     rows are ``(0, 0, 0)``: their determinant with any line is 0 (never
     a candidate pair) and their feasibility slack is 0 (never rejects a
-    point), so running over slices of :data:`WARM_CHUNK` polyhedra (each
-    padded to its own widest member) changes no result.
+    point), so slicing (each slice padded to its own widest member)
+    changes no result.
+
+    The enumeration is also :func:`support2d._candidate_points`' vertex
+    step (same ``FEAS_TOL``, determinant cut and slack formula; zero-normal
+    rows never pair and, unless they encode a contradiction, never
+    reject), so a surviving vertex is a point
+    :func:`support2d.feasible_point_2d` would return: the polyhedron is
+    non-empty. Only vertex-free systems and those holding an encoded
+    contradiction (``0 <= beta < 0``) ask the scalar search.
     """
-    todo = [
-        p for p in polys
-        if p._vertices is None and p._dim == 2 and not p.is_empty
-    ]
-    for lo in range(0, len(todo), WARM_CHUNK):
-        _warm_vertex_slice(todo[lo : lo + WARM_CHUNK])
-
-
-def _warm_vertex_slice(todo: Sequence["ConvexPolyhedron"]) -> None:
     ineqs_list = [p._as_ineqs2d() for p in todo]
-    m_max = max(len(ineqs) for ineqs in ineqs_list)
-    if m_max < 2:
-        for poly in todo:
-            poly._vertices = []
-        return
     count = len(todo)
+    m_max = max(2, max(len(ineqs) for ineqs in ineqs_list))
     nx = np.zeros((count, m_max))
     ny = np.zeros((count, m_max))
     beta = np.zeros((count, m_max))
@@ -356,11 +366,20 @@ def _warm_vertex_slice(todo: Sequence["ConvexPolyhedron"]) -> None:
         axis=2,
     )
     good = usable & feasible
+    contradiction = np.any((nx == 0.0) & (ny == 0.0) & (beta < 0.0), axis=1)
     for row, poly in enumerate(todo):
         raw = [
             (float(x[row, k]), float(y[row, k]))
             for k in np.nonzero(good[row])[0]
         ]
+        if not raw or contradiction[row]:
+            # Vertex-free or empty: the scalar search decides emptiness,
+            # and either way the scalar enumeration yields no vertex.
+            if poly._empty is None:
+                poly._empty = support2d.feasible_point_2d(ineqs_list[row]) is None
+            poly._vertices = []
+            continue
+        poly._empty = False
         deduped = _dedupe_points(raw)
         if len(deduped) >= 3:
             poly._vertices = [tuple(p) for p in convex_hull_2d(deduped)]

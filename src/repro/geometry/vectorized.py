@@ -23,6 +23,16 @@ every tuple with at least one vertex; vertex-free tuples (half-planes,
 slabs) fall back to the scalar engine. Answer sets produced by
 :meth:`DualSurface.answer` therefore equal the exact oracle's
 (:func:`repro.geometry.predicates.evaluate_relation`).
+
+Three callers build surfaces:
+
+* :func:`repro.core.dual_index.compute_keys_batch` — the whole relation,
+  once per index build, evaluated at every probe slope of S;
+* :func:`repro.core.planner.refine_candidates` — one small surface per
+  query over the fetched candidates of the exact, T1/T2 and R-tree
+  paths (the refinement step);
+* :class:`repro.exec.BatchExecutor` — the whole index contents, once per
+  index version, for the ``vector`` technique.
 """
 
 from __future__ import annotations
@@ -36,11 +46,19 @@ from repro.constraints.theta import Theta
 from repro.constraints.tuples import GeneralizedTuple
 from repro.errors import GeometryError
 from repro.geometry import dual
-from repro.geometry.polyhedron import warm_boundedness, warm_vertices
+from repro.geometry.polyhedron import warm_batch
 from repro.geometry.predicates import ORACLE_TOL
 
 #: Ray threshold of the scalar fast path (``_support_2d_fast``).
 _RAY_TOL = 1e-9
+
+#: Memoised slope columns kept per side (TOP / BOT) before FIFO
+#: eviction. Bounded so a long-running server seeing distinct slopes
+#: does not grow without limit; at least the largest reused slope pool a
+#: workload cycles through (256 per side), so no column it reuses is
+#: recomputed. Eviction only costs a re-evaluation, never a different
+#: value.
+SLOPE_CACHE_CAPACITY = 1024
 
 
 class DualSurface:
@@ -50,7 +68,8 @@ class DualSurface:
     evaluate :meth:`top_at` / :meth:`bot_at` per slope — each evaluation
     is a handful of vectorized numpy operations over all tuples at once.
     Per-slope results are memoised, so a batch of queries sharing a slope
-    pays for exactly one evaluation pass.
+    pays for exactly one evaluation pass (up to
+    :data:`SLOPE_CACHE_CAPACITY` slopes per side, oldest evicted first).
 
     Example::
 
@@ -68,12 +87,10 @@ class DualSurface:
         tuples: list[GeneralizedTuple],
     ) -> None:
         self.tids = np.asarray(tids, dtype=np.int64)
-        # One batched cone pass and one batched vertex enumeration
-        # instead of one per tuple — the dominant cost of building the
-        # surface otherwise.
-        extensions = [t.extension() for t in tuples]
-        warm_boundedness(extensions)
-        warm_vertices(extensions)
+        # One batched emptiness + vertex enumeration and one batched
+        # cone pass instead of one per tuple — the dominant cost of
+        # building the surface otherwise.
+        warm_batch([t.extension() for t in tuples])
         self._fallback: list[tuple[int, GeneralizedTuple]] = []
         vx: list[float] = []
         vy: list[float] = []
@@ -136,20 +153,21 @@ class DualSurface:
     # ------------------------------------------------------------------
     def top_at(self, slope: float) -> np.ndarray:
         """``TOP^P(slope)`` for every tuple, in one vectorized pass."""
-        slope = float(slope)
-        cached = self._top_cache.get(slope)
-        if cached is None:
-            cached = self._evaluate(slope, upper=True)
-            self._top_cache[slope] = cached
-        return cached
+        return self._memoised(self._top_cache, float(slope), upper=True)
 
     def bot_at(self, slope: float) -> np.ndarray:
         """``BOT^P(slope)`` for every tuple, in one vectorized pass."""
-        slope = float(slope)
-        cached = self._bot_cache.get(slope)
+        return self._memoised(self._bot_cache, float(slope), upper=False)
+
+    def _memoised(
+        self, cache: dict[float, np.ndarray], slope: float, upper: bool
+    ) -> np.ndarray:
+        cached = cache.get(slope)
         if cached is None:
-            cached = self._evaluate(slope, upper=False)
-            self._bot_cache[slope] = cached
+            cached = self._evaluate(slope, upper)
+            if len(cache) >= SLOPE_CACHE_CAPACITY:
+                cache.pop(next(iter(cache)))
+            cache[slope] = cached
         return cached
 
     def _evaluate(self, slope: float, upper: bool) -> np.ndarray:

@@ -291,7 +291,13 @@ class RTreeBase:
             obs.incr("rtree.node_visits")
             obs.incr("comparisons", node.count)
             for r, p in zip(node.rects, node.pointers):
-                if not r.intersects_halfplane(slope, intercept, theta):
+                # Widened by the same safety band as the accepts: an
+                # object within the oracle tolerance of the line is an
+                # answer, so its piece must reach refinement.
+                if not r.intersects_halfplane(
+                    slope, intercept, theta,
+                    tol=self._confirm_margin(r, slope),
+                ):
                     continue
                 if level > 1:
                     stack.append((p, level - 1))
@@ -315,7 +321,8 @@ class RTreeBase:
     def _confirm_margin(self, rect: Rect, slope: Sequence[float]) -> float:
         """Upper bound on the query-functional error caused by the
         outward float32 rounding of stored MBR coordinates, plus the
-        oracle tolerance — the safety band for refinement-free accepts."""
+        oracle tolerance — the safety band for refinement-free accepts
+        and for keeping near-boundary pieces as candidates."""
         if self.codec.key_bytes == 8:
             return 1e-6
         eps = 2.4e-7  # two float32 ULP steps, relative

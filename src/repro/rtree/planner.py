@@ -2,7 +2,8 @@
 
 Mirrors :class:`repro.core.planner.DualIndexPlanner` so benchmarks charge
 both competitors identically: tree traversal page accesses plus one heap
-page access per candidate record fetched for refinement.
+page access per candidate record fetched for refinement, which runs
+through the same :func:`repro.core.planner.refine_candidates`.
 
 The asymmetry the paper exploits is visible here: an ALL selection has no
 native R+-tree algorithm — every object whose MBR meets the half-plane
@@ -14,9 +15,9 @@ same sweep machinery as EXIST. Unbounded tuples cannot be inserted at all
 from __future__ import annotations
 
 from repro.constraints.relation import GeneralizedRelation
+from repro.core.planner import refine_candidates
 from repro.core.query import ALL, EXIST, HalfPlaneQuery, QueryResult
 from repro.errors import GeometryError, QueryError
-from repro.geometry.predicates import all_halfplane, exist_halfplane
 from repro.obs import trace as obs
 from repro.rtree.base import RTreeBase
 from repro.rtree.mbr import Rect
@@ -197,26 +198,8 @@ class RTreePlanner:
         result.candidates = candidates.total
         result.accepted_without_refinement = len(candidates.confirmed)
         result.ids = {self.tid_of[rid] for rid in candidates.confirmed}
-        predicate = (
-            all_halfplane if query.query_type == ALL else exist_halfplane
+        confirmed, result.false_hits, result.refinement_pages = (
+            refine_candidates(self.heap, query, candidates.to_refine)
         )
-        false_hits = 0
-        from repro.storage.heap import unpack_rid
-
-        result.refinement_pages = len(
-            {unpack_rid(rid)[0] for rid in candidates.to_refine}
-        )
-        with obs.span("fetch"):
-            records = self.heap.fetch_batch(candidates.to_refine)
-        with obs.span("verify"):
-            for data in records.values():
-                tid, t = decode_tuple(data)
-                if predicate(
-                    t.extension(), query.slope, query.intercept, query.theta
-                ):
-                    result.ids.add(tid)
-                else:
-                    false_hits += 1
-            obs.incr("refine.false_hits", false_hits)
-        result.false_hits = false_hits
+        result.ids |= confirmed
         return result

@@ -70,3 +70,55 @@ def assert_close(a: float, b: float, tol: float = 1e-9) -> None:
         assert a == b, (a, b)
     else:
         assert abs(a - b) <= tol * max(1.0, abs(a), abs(b)), (a, b)
+
+
+def scalar_refine(heap, query, rids):
+    """Reference refinement: one scalar predicate call per candidate.
+
+    Fetches and decodes the candidates exactly as
+    :func:`repro.core.planner.refine_candidates` does, then tests each
+    decoded tuple with :func:`exist_halfplane` / :func:`all_halfplane`.
+    Returns ``(confirmed ids, false hits, refinement pages)``.
+    """
+    from repro.geometry.predicates import all_halfplane, exist_halfplane
+    from repro.storage.heap import unpack_rid
+    from repro.storage.serialize import decode_tuple
+
+    predicate = all_halfplane if query.query_type == "ALL" else exist_halfplane
+    rids = list(rids)
+    pages = len({unpack_rid(rid)[0] for rid in rids})
+    confirmed: set[int] = set()
+    false_hits = 0
+    for data in heap.fetch_batch(rids).values():
+        tid, t = decode_tuple(data)
+        if predicate(t.extension(), query.slope, query.intercept, query.theta):
+            confirmed.add(tid)
+        else:
+            false_hits += 1
+    return confirmed, false_hits, pages
+
+
+def boundary_intercepts(tuples, slope: float, per_side: int = 3) -> list[float]:
+    """Intercepts exactly at ``TOP(s)``/``BOT(s)`` of some tuples and at
+    ``±ORACLE_TOL`` from them (plus one ulp past ``+ORACLE_TOL``) — the
+    comparisons where a refinement pass could disagree with the oracle."""
+    from repro.geometry import dual
+    from repro.geometry.predicates import ORACLE_TOL
+
+    values: list[float] = []
+    for surface in (dual.top, dual.bot):
+        finite = [
+            v for v in (surface(t.extension(), slope) for t in tuples)
+            if math.isfinite(v)
+        ]
+        values.extend(finite[:per_side])
+    out: list[float] = []
+    for v in values:
+        out += [
+            v,
+            v + ORACLE_TOL,
+            v - ORACLE_TOL,
+            math.nextafter(v + ORACLE_TOL, math.inf),
+            math.nextafter(v - ORACLE_TOL, -math.inf),
+        ]
+    return out

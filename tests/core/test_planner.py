@@ -1,6 +1,8 @@
 """Planner dispatch, exact path, refinement accounting, dynamic updates."""
 
 
+import random
+
 import pytest
 
 from repro.constraints import GeneralizedRelation, Theta
@@ -15,7 +17,12 @@ from repro.core import (
 from repro.errors import QueryError
 from repro.geometry.predicates import evaluate_relation
 from repro.storage import KeyCodec, Pager
-from tests.conftest import random_bounded_tuple
+from tests.conftest import (
+    boundary_intercepts,
+    random_bounded_tuple,
+    random_mixed_relation,
+    scalar_refine,
+)
 
 SLOPES = SlopeSet([-1.0, 0.0, 1.0])
 
@@ -123,6 +130,61 @@ class TestRefinementAccounting:
         res = planner.exist(0.5, 1e7, Theta.GE)
         assert res.ids == set()
         assert res.false_hits == res.candidates
+
+
+class TestVectorizedRefinement:
+    """The one-pass refinement equals a scalar per-candidate loop on
+    every path, including unbounded and vertex-free candidates and
+    intercepts on (and one tolerance off) the candidates' surfaces."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        relation = random_mixed_relation(
+            random.Random(21), 100, unbounded_fraction=0.3
+        )
+        planner = DualIndexPlanner.build(
+            relation, SLOPES, pager=Pager(), key_bytes=4
+        )
+        return planner, relation
+
+    @pytest.mark.parametrize(
+        "slope, technique, expected",
+        [
+            (1.0, "T2", "exact"),
+            (0.37, "T2", "T2"),
+            (-3.0, "T2", "T1"),
+            (0.37, "T1", "T1"),
+        ],
+    )
+    def test_matches_scalar_reference(
+        self, mixed, monkeypatch, slope, technique, expected
+    ):
+        from repro.core import planner as planner_module
+
+        planner, relation = mixed
+        planner.technique = technique
+        tuples = [t for _tid, t in relation]
+        checked = 0
+        for intercept in boundary_intercepts(tuples, slope, per_side=2):
+            for qtype in (ALL, EXIST):
+                for theta in (Theta.GE, Theta.LE):
+                    query = HalfPlaneQuery(qtype, slope, intercept, theta)
+                    got = planner.query(query)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(
+                            planner_module, "refine_candidates", scalar_refine
+                        )
+                        want = planner.query(query)
+                    assert got.technique == want.technique == expected
+                    assert got.ids == want.ids
+                    assert got.false_hits == want.false_hits
+                    assert got.refinement_pages == want.refinement_pages
+                    assert got.page_accesses == want.page_accesses
+                    assert got.ids == evaluate_relation(
+                        relation, qtype, slope, intercept, theta
+                    )
+                    checked += got.candidates - got.accepted_without_refinement
+        assert checked > 0
 
 
 class TestDynamicPlanner:

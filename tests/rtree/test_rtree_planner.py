@@ -1,15 +1,22 @@
 """RTreePlanner tests: build, dynamic updates, query semantics."""
 
+import random
+
 import pytest
 
-from repro.constraints import GeneralizedRelation, Theta
+from repro.constraints import GeneralizedRelation, GeneralizedTuple, Theta
 from repro.core import ALL, EXIST, HalfPlaneQuery
 from repro.errors import QueryError
 from repro.geometry.predicates import evaluate_relation
 from repro.rtree.guttman import GuttmanRTree
 from repro.rtree.planner import RTreePlanner
 from repro.storage import Pager
-from tests.conftest import random_bounded_tuple
+from tests.conftest import (
+    boundary_intercepts,
+    random_bounded_tuple,
+    random_mixed_relation,
+    scalar_refine,
+)
 
 
 @pytest.fixture
@@ -70,6 +77,52 @@ class TestQueries:
         res = planner.exist(0.0, -1e6, Theta.GE)
         assert res.ids == set(relation.ids())
         assert res.accepted_without_refinement > 0
+
+
+class TestVectorizedRefinement:
+    """The shared one-pass refinement equals a scalar per-candidate loop
+    on the R-tree's candidates, degenerate (point/segment) tuples and
+    intercepts on (and one tolerance off) their surfaces included."""
+
+    @pytest.fixture(scope="class")
+    def bounded(self):
+        rng = random.Random(5)
+        mixed = random_mixed_relation(rng, 90, unbounded_fraction=0.3)
+        tuples = [t for _tid, t in mixed if t.extension().is_bounded]
+        tuples += [
+            GeneralizedTuple.from_box((3.0, 4.0), (3.0, 4.0)),
+            GeneralizedTuple.from_box((0.0, 1.0), (2.0, 1.0)),
+        ]
+        relation = GeneralizedRelation(tuples)
+        return RTreePlanner.build(relation, pager=Pager()), relation
+
+    @pytest.mark.parametrize("slope", [0.0, 0.37, -2.5])
+    def test_matches_scalar_reference(self, bounded, monkeypatch, slope):
+        from repro.rtree import planner as planner_module
+
+        planner, relation = bounded
+        # The degenerate tuples come first so their surfaces are probed.
+        tuples = [t for _tid, t in relation][::-1]
+        refined = 0
+        for intercept in boundary_intercepts(tuples, slope, per_side=2):
+            for qtype in (ALL, EXIST):
+                for theta in (Theta.GE, Theta.LE):
+                    query = HalfPlaneQuery(qtype, slope, intercept, theta)
+                    got = planner.query(query)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(
+                            planner_module, "refine_candidates", scalar_refine
+                        )
+                        want = planner.query(query)
+                    assert got.ids == want.ids
+                    assert got.false_hits == want.false_hits
+                    assert got.refinement_pages == want.refinement_pages
+                    assert got.page_accesses == want.page_accesses
+                    assert got.ids == evaluate_relation(
+                        relation, qtype, slope, intercept, theta
+                    )
+                    refined += got.candidates - got.accepted_without_refinement
+        assert refined > 0
 
 
 class TestDynamic:
