@@ -9,12 +9,12 @@ Given a half-plane query, the planner picks the cheapest sound path:
   forced to T1 → two app-queries (Section 4.1);
 
 and then *refines* (:func:`refine_candidates`): every candidate RID is
-fetched from the heap (one counted page access per distinct page) and
-the fetched candidates are tested in one vectorized Proposition 2.2
-pass (:class:`~repro.geometry.vectorized.DualSurface`), bit-identical to
-the exact ALL/EXIST predicate, so the final answer always equals the
-oracle's. The R-tree and d-dimensional planners refine through the same
-function.
+fetched from the heap (one counted page access per distinct page), the
+decoded candidates' geometry is settled in one batched warm-up
+(:func:`~repro.geometry.polyhedron.warm_batch`) and each is checked
+against the exact ALL/EXIST predicate, so the final answer always
+equals the oracle's. The R-tree and d-dimensional planners refine
+through the same function.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from repro.core.slope_set import SlopeSet
 from repro.errors import QueryError
 from repro.obs import slopelog
 from repro.obs import trace as obs
-from repro.geometry.polyhedron import WARM_CHUNK
+from repro.geometry.polyhedron import WARM_CHUNK, warm_batch
 from repro.geometry.predicates import all_halfplane, exist_halfplane
-from repro.geometry.vectorized import DualSurface
 from repro.storage.heap import HeapFile, unpack_rid
 from repro.storage.pager import Pager
 from repro.storage.serialize import KeyCodec
@@ -311,14 +310,14 @@ def refine_candidates(
 
     Fetches the candidate records page-batched (the I/O cost is one page
     access per distinct heap page holding a candidate), decodes them and
-    applies Proposition 2.2 to many at once: one
-    :class:`~repro.geometry.vectorized.DualSurface` per slice of
-    decoded candidates, answered at the query's slope. Its surface values and
-    comparisons are bit-identical to :func:`exist_halfplane` /
-    :func:`all_halfplane` per tuple, so the confirmed set is the scalar
-    predicate's. Queries in d >= 3 (the d-dimensional planner, a 3-D
-    R-tree) take the scalar predicates instead: their supports go
-    through LP and the surface is 2-D. Used by
+    tests each with the exact predicate (:func:`exist_halfplane` /
+    :func:`all_halfplane`). Before the predicates run, one batched
+    warm-up (:func:`~repro.geometry.polyhedron.warm_batch`) settles the
+    emptiness, vertices and boundedness of a whole slice of decoded 2-D
+    candidates, the values the scalar properties would compute one
+    tuple at a time; each predicate is then a max over cached vertices.
+    Candidates in d >= 3 (the d-dimensional planner, a 3-D R-tree) skip
+    the warm-up: their supports go through LP. Used by
     :class:`DualIndexPlanner`, :class:`repro.rtree.planner.RTreePlanner`
     and :class:`repro.core.ddim.DDimPlanner`.
 
@@ -334,26 +333,22 @@ def refine_candidates(
     with obs.span("fetch"):
         payloads = list(heap.fetch_batch(rids).values())
     predicate = all_halfplane if query.query_type == ALL else exist_halfplane
+    slope, intercept, theta = query.slope, query.intercept, query.theta
     with obs.span("verify"):
         confirmed: set[int] = set()
+        false_hits = 0
         # Slices of WARM_CHUNK records: the decoded tuples and their
         # cached geometry alive at once stay bounded however many
         # candidates a query has.
         for lo in range(0, len(payloads), WARM_CHUNK):
             items = [decode_tuple(data) for data in payloads[lo : lo + WARM_CHUNK]]
-            if query.dimension == 2:
-                confirmed |= DualSurface.from_items(items).answer(
-                    query.query_type, query.slope_2d, query.intercept, query.theta
-                )
-            else:
-                confirmed.update(
-                    tid
-                    for tid, t in items
-                    if predicate(
-                        t.extension(), query.slope, query.intercept, query.theta
-                    )
-                )
-        false_hits = len(payloads) - len(confirmed)
+            extensions = [t.extension() for _tid, t in items]
+            warm_batch(extensions)
+            for (tid, _t), poly in zip(items, extensions):
+                if predicate(poly, slope, intercept, theta):
+                    confirmed.add(tid)
+                else:
+                    false_hits += 1
         obs.incr("refine.confirmed", len(confirmed))
         obs.incr("refine.false_hits", false_hits)
     return confirmed, false_hits, pages

@@ -283,9 +283,10 @@ def warm_batch(polys: Sequence["ConvexPolyhedron"]) -> None:
 
     The scalar properties answer these one polyhedron at a time in pure
     Python; bulk paths (the vectorized build, every
-    :class:`~repro.geometry.vectorized.DualSurface`, the batch executor's
-    boundary fetch) ask them of hundreds of freshly decoded tuples at
-    once, and that is their dominant cost otherwise. Emptiness comes
+    :class:`~repro.geometry.vectorized.DualSurface`, refinement's fetched
+    candidates, the batch executor's boundary fetch) ask them of
+    hundreds of freshly decoded tuples at once, and that is their
+    dominant cost otherwise. Emptiness comes
     first, from the same padded vertex enumeration that fills the vertex
     cache (see :func:`_warm_vertex_slice`); boundedness follows, from
     one batched cone pass over the non-empty ones

@@ -24,15 +24,16 @@ slabs) fall back to the scalar engine. Answer sets produced by
 :meth:`DualSurface.answer` therefore equal the exact oracle's
 (:func:`repro.geometry.predicates.evaluate_relation`).
 
-Three callers build surfaces:
+Two callers build surfaces:
 
 * :func:`repro.core.dual_index.compute_keys_batch` — the whole relation,
   once per index build, evaluated at every probe slope of S;
-* :func:`repro.core.planner.refine_candidates` — one small surface per
-  query over the fetched candidates of the exact, T1/T2 and R-tree
-  paths (the refinement step);
 * :class:`repro.exec.BatchExecutor` — the whole index contents, once per
   index version, for the ``vector`` technique.
+
+Refinement (:func:`repro.core.planner.refine_candidates`) builds none:
+it runs the scalar predicates over candidates warmed by the same
+batched :func:`~repro.geometry.polyhedron.warm_batch`.
 """
 
 from __future__ import annotations

@@ -291,13 +291,7 @@ class RTreeBase:
             obs.incr("rtree.node_visits")
             obs.incr("comparisons", node.count)
             for r, p in zip(node.rects, node.pointers):
-                # Widened by the same safety band as the accepts: an
-                # object within the oracle tolerance of the line is an
-                # answer, so its piece must reach refinement.
-                if not r.intersects_halfplane(
-                    slope, intercept, theta,
-                    tol=self._confirm_margin(r, slope),
-                ):
+                if not r.intersects_halfplane(slope, intercept, theta):
                     continue
                 if level > 1:
                     stack.append((p, level - 1))
@@ -321,8 +315,7 @@ class RTreeBase:
     def _confirm_margin(self, rect: Rect, slope: Sequence[float]) -> float:
         """Upper bound on the query-functional error caused by the
         outward float32 rounding of stored MBR coordinates, plus the
-        oracle tolerance — the safety band for refinement-free accepts
-        and for keeping near-boundary pieces as candidates."""
+        oracle tolerance — the safety band for refinement-free accepts."""
         if self.codec.key_bytes == 8:
             return 1e-6
         eps = 2.4e-7  # two float32 ULP steps, relative

@@ -98,12 +98,10 @@ def scalar_refine(heap, query, rids):
     return confirmed, false_hits, pages
 
 
-def boundary_intercepts(tuples, slope: float, per_side: int = 3) -> list[float]:
-    """Intercepts exactly at ``TOP(s)``/``BOT(s)`` of some tuples and at
-    ``±ORACLE_TOL`` from them (plus one ulp past ``+ORACLE_TOL``) — the
-    comparisons where a refinement pass could disagree with the oracle."""
+def surface_values(tuples, slope: float, per_side: int = 3) -> list[float]:
+    """The first ``per_side`` finite ``TOP(s)`` and ``BOT(s)`` values of
+    ``tuples`` — intercepts that lie exactly on a candidate's surface."""
     from repro.geometry import dual
-    from repro.geometry.predicates import ORACLE_TOL
 
     values: list[float] = []
     for surface in (dual.top, dual.bot):
@@ -112,8 +110,17 @@ def boundary_intercepts(tuples, slope: float, per_side: int = 3) -> list[float]:
             if math.isfinite(v)
         ]
         values.extend(finite[:per_side])
+    return values
+
+
+def boundary_intercepts(tuples, slope: float, per_side: int = 3) -> list[float]:
+    """Intercepts exactly at ``TOP(s)``/``BOT(s)`` of some tuples and at
+    ``±ORACLE_TOL`` from them (plus one ulp past ``+ORACLE_TOL``) — the
+    comparisons where a refinement pass could disagree with the oracle."""
+    from repro.geometry.predicates import ORACLE_TOL
+
     out: list[float] = []
-    for v in values:
+    for v in surface_values(tuples, slope, per_side):
         out += [
             v,
             v + ORACLE_TOL,

@@ -132,10 +132,10 @@ class TestRefinementAccounting:
         assert res.false_hits == res.candidates
 
 
-class TestVectorizedRefinement:
-    """The one-pass refinement equals a scalar per-candidate loop on
-    every path, including unbounded and vertex-free candidates and
-    intercepts on (and one tolerance off) the candidates' surfaces."""
+class TestBatchedRefinement:
+    """Refinement with the batched warm-up equals a scalar per-candidate
+    loop on every path, including unbounded and vertex-free candidates
+    and intercepts on (and one tolerance off) the candidates' surfaces."""
 
     @pytest.fixture(scope="class")
     def mixed(self):
