@@ -306,6 +306,9 @@ class DualIndex:
         self._tid_lut: "np.ndarray | None" = None
         self._dense_lut: "np.ndarray | None" = None
         self._lut_version = -1
+        # The vector path's dual surface: built from a heap scan on first
+        # use, then patched by insert/delete (see :meth:`surface`).
+        self._surface: DualSurface | None = None
         # Global assignment-key extrema per (tree name, side): a query
         # whose intercept lies beyond every assignment key can skip the
         # secondary sweep entirely (extension A7; conservative under
@@ -383,6 +386,7 @@ class DualIndex:
         """Stage ``relation`` under precomputed ``keys`` (``tid ->
         EntryKeys``, ``None`` marking an unsatisfiable tuple to skip)."""
         k = len(self.slopes)
+        self._surface = None
         up_entries: list[list[tuple[float, int]]] = [[] for _ in range(k)]
         down_entries: list[list[tuple[float, int]]] = [[] for _ in range(k)]
         keys_by_rid: dict[int, EntryKeys] = {}
@@ -555,9 +559,14 @@ class DualIndex:
     def insert(self, tid: int, t: GeneralizedTuple) -> None:
         """Insert one tuple into all 2k trees (+ directories).
 
-        Affected leaves get their handicap flag cleared; call
-        :meth:`refresh_handicaps` before the next approximate query
-        (write-deferred maintenance).
+        Affected leaves get their handicap flag cleared;
+        :meth:`~repro.core.planner.DualIndexPlanner.query` runs
+        :meth:`refresh_handicaps` lazily before its next T1/T2 query
+        (write-deferred maintenance). The batch path (exact merged
+        sweeps and the vector scan) reads no handicap, so it needs no
+        refresh; a built :meth:`surface` gets the tuple's rows
+        appended. An unsatisfiable tuple is rejected before anything
+        is touched.
         """
         if tid in self.rid_of:
             raise IndexError_(f"tuple id {tid} already indexed")
@@ -595,11 +604,14 @@ class DualIndex:
                         min(lo, tree.quantize(a_bot)),
                         max(hi, tree.quantize(a_top)),
                     )
+        if self._surface is not None:
+            self._surface.insert(tid, t)
         self.size += 1
         self.version += 1
 
     def delete(self, tid: int) -> None:
-        """Remove a tuple from trees, directories and the heap."""
+        """Remove a tuple from trees, directories, the heap and a built
+        :meth:`surface`."""
         rid = self.rid_of.pop(tid, None)
         if rid is None:
             raise IndexError_(f"tuple id {tid} is not indexed")
@@ -627,6 +639,8 @@ class DualIndex:
                     self._invalidate_owner(self.down[i], a_top)
                     self._invalidate_owner(self.down[i], a_bot)
         self.heap.delete(rid)
+        if self._surface is not None:
+            self._surface.delete(tid)
         self.size -= 1
         self.version += 1
 
@@ -661,7 +675,8 @@ class DualIndex:
         dynamic flag), the tuple↔RID catalog, per-tree shape state, heap
         bookkeeping, and the assignment-key extrema. Deliberately *not*
         persisted: ``keys_cache`` (re-derived from heap records on
-        miss) and the lazy rid/tid LUTs (rebuilt on version).
+        miss), the lazy rid/tid LUTs (rebuilt on version) and the dual
+        surface (rebuilt on first use).
         """
         return {
             "name": self.name,
@@ -698,6 +713,22 @@ class DualIndex:
         for tree in self.all_trees():
             tree.restore_state(trees[tree.name])
         self._lut_version = -1
+        self._surface = None
+
+    def surface(self) -> DualSurface:
+        """The dual surface of the current index contents.
+
+        The first call builds it from a heap scan (each heap page one
+        logical read); :meth:`insert` and :meth:`delete` then patch the
+        written tuple's rows in place, so it answers any number of
+        non-restricted slopes without further I/O or rebuilds.
+        """
+        if self._surface is None:
+            with obs.span("surface.build"):
+                self._surface = DualSurface.from_items(
+                    decode_tuple(data) for _rid, data in self.heap.scan()
+                )
+        return self._surface
 
     def space(self) -> IndexSpace:
         """Page breakdown (Figure 10 compares ``tree_pages``)."""

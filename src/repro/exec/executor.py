@@ -11,19 +11,23 @@ Answering ``n`` half-plane selections one at a time costs ``n`` descents,
 * boundary candidates of *all* exact groups are refined against one
   shared heap fetch (each distinct page read once per batch, pinned in
   the buffer pool while in use);
-* queries on any other slope are answered from the vectorized dual
-  surface (:class:`repro.geometry.vectorized.DualSurface`) — one numpy
-  pass over the dual representation per distinct slope, not one
-  tree traversal per query;
+* queries on any other slope are answered from the index's vectorized
+  dual surface (:meth:`repro.core.dual_index.DualIndex.surface`, built
+  once and patched by every insert and delete) — one numpy pass over
+  the dual representation per distinct slope, not one tree traversal
+  per query;
 * identical queries hit an LRU result cache
   (:class:`repro.exec.cache.QueryResultCache`), invalidated whenever the
   index version changes.
 
 Every answer set is identical to what :meth:`DualIndexPlanner.query`
 returns sequentially (itself oracle-exact); only the page-access bill
-changes. Batch I/O is accounted at batch scope (``BatchResult.io``)
-because the whole point is that pages are *shared* between queries —
-per-query ``QueryResult.io`` is left zero in batch mode.
+changes. Neither path reads a handicap aggregate, so a batch never
+refreshes the handicaps an update invalidated: that stays with the
+T1/T2 planner path, which refreshes lazily. Batch I/O is accounted at
+batch scope (``BatchResult.io``) because the whole point is that pages
+are *shared* between queries — per-query ``QueryResult.io`` is left
+zero in batch mode.
 """
 
 from __future__ import annotations
@@ -130,8 +134,6 @@ class BatchExecutor:
         self.cache = QueryResultCache(cache_size)
         self.registry = registry if registry is not None else get_registry()
         self._io_lock = threading.Lock()
-        self._surface: DualSurface | None = None
-        self._surface_version: int | None = None
 
     # ------------------------------------------------------------------
     # public API
@@ -144,9 +146,6 @@ class BatchExecutor:
                 raise QueryError("BatchExecutor is 2-D; use DDimPlanner")
             if log_slopes:
                 slopelog.record(query.slope_2d, query.query_type)
-        if self.planner.index.dynamic and self.planner._has_dirty_leaves():
-            with obs.span("maintain", pager=self.index.pager):
-                self.index.refresh_handicaps()
         version = self.index.version
         batch = BatchResult(results=[None] * len(queries))  # type: ignore[list-item]
         hits0, misses0 = self.cache.hits, self.cache.misses
@@ -212,7 +211,7 @@ class BatchExecutor:
 
         # 6. Vectorized path: one dual-surface pass per distinct slope.
         for group in vector_groups:
-            surface = self._surface_for(version)
+            surface = self._surface()
             for position, query in zip(group.indices, group.queries):
                 result = QueryResult(technique="vector")
                 result.set_lazy_ids(
@@ -251,10 +250,6 @@ class BatchExecutor:
         for query in queries:
             if query.dimension != 2:
                 raise QueryError("BatchExecutor is 2-D; use DDimPlanner")
-        if self.planner.index.dynamic and self.planner._has_dirty_leaves():
-            with obs.span("maintain", pager=self.index.pager):
-                self.index.refresh_handicaps()
-        version = self.index.version
         queries = list(queries)
         n = len(queries)
         out = ShardPartials(
@@ -270,7 +265,7 @@ class BatchExecutor:
                       index=self.index.name, queries=n,
                       **_trace_meta()):
             with self.index.pager.measure() as scope:
-                self._execute_partials(queries, version, out, columns)
+                self._execute_partials(queries, out, columns)
             out.io = scope.delta
         sizes = np.fromiter(
             (c.size for c in columns), dtype=np.int64, count=n
@@ -286,7 +281,6 @@ class BatchExecutor:
     def _execute_partials(
         self,
         queries: list[HalfPlaneQuery],
-        version: int,
         out: ShardPartials,
         columns: list,
     ) -> None:
@@ -337,7 +331,7 @@ class BatchExecutor:
                         out.extras[position] = confirmed
 
         for group in vector_groups:
-            surface = self._surface_for(version)
+            surface = self._surface()
             for position, query in zip(group.indices, group.queries):
                 out.technique[position] = TECH_VECTOR
                 columns[position] = surface.answer_tids(
@@ -492,20 +486,11 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # vector path
     # ------------------------------------------------------------------
-    def _surface_for(self, version: int) -> DualSurface:
-        """The dual surface of the current index contents (memoised).
-
-        Building it costs one heap scan (each heap page one logical
-        read); the surface then answers any number of non-restricted
-        slopes without further I/O until the index version changes.
-        """
-        if self._surface is None or self._surface_version != version:
-            with self._io_lock, obs.span("surface.build"):
-                self._surface = DualSurface.from_items(
-                    decode_tuple(data) for _rid, data in self.index.heap.scan()
-                )
-            self._surface_version = version
-        return self._surface
+    def _surface(self) -> DualSurface:
+        """The index's dual surface. Only its first use per index life
+        (or restore) scans the heap; updates patch it in place."""
+        with self._io_lock:
+            return self.index.surface()
 
     # ------------------------------------------------------------------
     # helpers

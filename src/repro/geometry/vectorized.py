@@ -28,8 +28,12 @@ Two callers build surfaces:
 
 * :func:`repro.core.dual_index.compute_keys_batch` — the whole relation,
   once per index build, evaluated at every probe slope of S;
-* :class:`repro.exec.BatchExecutor` — the whole index contents, once per
-  index version, for the ``vector`` technique.
+* :meth:`repro.core.dual_index.DualIndex.surface` — the whole index
+  contents, built from a heap scan on the first ``vector`` query and
+  then patched in place by every insert and delete
+  (:meth:`DualSurface.insert` / :meth:`DualSurface.delete`): a tuple's
+  ``TOP^P``/``BOT^P`` depend on its own vertices only, so a write
+  touches that tuple's rows and nothing else.
 
 Refinement (:func:`repro.core.planner.refine_candidates`) builds none:
 it runs the scalar predicates over candidates warmed by the same
@@ -65,11 +69,12 @@ SLOPE_CACHE_CAPACITY = 1024
 class DualSurface:
     """The dual representation of a tuple collection as flat numpy arrays.
 
-    Build once per relation snapshot (one pass over the tuples), then
-    evaluate :meth:`top_at` / :meth:`bot_at` per slope — each evaluation
-    is a handful of vectorized numpy operations over all tuples at once.
-    Per-slope results are memoised, so a batch of queries sharing a slope
-    pays for exactly one evaluation pass (up to
+    Build once per relation snapshot (one pass over the tuples), keep it
+    current with :meth:`insert` / :meth:`delete`, then evaluate
+    :meth:`top_at` / :meth:`bot_at` per slope — each evaluation is a
+    handful of vectorized numpy operations over all tuples at once.
+    Per-slope results are memoised until the next update, so a batch of
+    queries sharing a slope pays for exactly one evaluation pass (up to
     :data:`SLOPE_CACHE_CAPACITY` slopes per side, oldest evicted first).
 
     Example::
@@ -148,6 +153,56 @@ class DualSurface:
 
     def __len__(self) -> int:
         return int(self.tids.size)
+
+    # ------------------------------------------------------------------
+    # in-place updates
+    # ------------------------------------------------------------------
+    def insert(self, tid: int, t: GeneralizedTuple) -> None:
+        """Append one tuple's vertex, ray and fallback rows.
+
+        Every value read back by tid equals a :meth:`from_items`
+        rebuild's: a row's value depends on its own rows only.
+        """
+        piece = DualSurface([tid], [t])
+        row, base = len(self), self._vx.size
+        self.tids = np.append(self.tids, piece.tids)
+        self._vx = np.append(self._vx, piece._vx)
+        self._vy = np.append(self._vy, piece._vy)
+        self._starts = np.append(self._starts, piece._starts + base)
+        self._ray_x = np.append(self._ray_x, piece._ray_x)
+        self._ray_y = np.append(self._ray_y, piece._ray_y)
+        self._ray_owner = np.append(self._ray_owner, piece._ray_owner + row)
+        self._fallback.extend((r + row, f) for r, f in piece._fallback)
+        self._forget_slopes()
+
+    def delete(self, tid: int) -> None:
+        """Drop one tuple's rows and re-base the rows after it."""
+        hits = np.flatnonzero(self.tids == tid)
+        if not hits.size:
+            raise GeometryError(f"tuple {tid} is not on the surface")
+        row = int(hits[0])
+        lo = int(self._starts[row])
+        hi = int(self._starts[row + 1]) if row + 1 < len(self) else self._vx.size
+        self.tids = np.delete(self.tids, row)
+        self._vx = np.delete(self._vx, np.s_[lo:hi])
+        self._vy = np.delete(self._vy, np.s_[lo:hi])
+        self._starts = np.delete(self._starts, row)
+        self._starts[row:] -= hi - lo
+        keep = self._ray_owner != row
+        self._ray_x = self._ray_x[keep]
+        self._ray_y = self._ray_y[keep]
+        self._ray_owner = self._ray_owner[keep]
+        self._ray_owner[self._ray_owner > row] -= 1
+        self._fallback = [
+            (r - 1 if r > row else r, f)
+            for r, f in self._fallback
+            if r != row
+        ]
+        self._forget_slopes()
+
+    def _forget_slopes(self) -> None:
+        self._top_cache.clear()
+        self._bot_cache.clear()
 
     # ------------------------------------------------------------------
     # per-slope evaluation

@@ -375,10 +375,13 @@ def mutation_round(
 ) -> list[dict]:
     """Interleave deletes/inserts with queries on a dynamic index.
 
-    After every mutation step the planner and its batch executor must
-    match the geometric oracle over the *live* tuple set, and the index
+    Inserts draw from the whole :func:`workload.make_tuples` mix
+    (unbounded, vertex-free and single-point tuples included). After
+    every mutation step the planner and its batch executor must match
+    the geometric oracle over the *live* tuple set, and the index
     version must have advanced (stale cached answers are the regression
-    this guards).
+    this guards). The batch runs first, so it answers on the patched
+    dual surface while the update's handicap leaves are still dirty.
     """
     tuples = workload.make_tuples(
         rng, n_tuples, unbounded_fraction=0.15, singleton_fraction=0.1,
@@ -392,13 +395,16 @@ def mutation_round(
     next_tid = max(live) + 1
     queries = workload.random_queries(rng, n_queries, slopes)
     findings: list[dict] = []
+    planner.query_batch(queries)  # builds the surface every step patches
     for _step in range(3):
         version_before = planner.index.version
         for tid in rng.sample(sorted(live), k=min(2, max(0, len(live) - 1))):
             planner.delete(tid)
             del live[tid]
-        for _ in range(2):
-            t = workload.bounded_tuple(rng)
+        for t in workload.make_tuples(
+            rng, 2, unbounded_fraction=0.3, singleton_fraction=0.2,
+            empty_fraction=0.0,
+        ):
             planner.insert(next_tid, t)
             live[next_tid] = t
             next_tid += 1
@@ -411,12 +417,13 @@ def mutation_round(
                 }
             )
         pairs = sorted(live.items())
-        for q in queries:
+        batch = planner.query_batch(queries)
+        for q, batch_result in zip(queries, batch.results):
             expected = evaluate_relation(
                 pairs, q.query_type, q.slope_2d, q.intercept, q.theta
             )
+            batched = batch_result.ids
             direct = planner.query(q).ids
-            batched = planner.query_batch([q]).results[0].ids
             for path, got in (("dynamic", direct), ("dynamic-batch", batched)):
                 if got != expected:
                     findings.append(
