@@ -38,9 +38,8 @@ import time
 from repro.bench import harness
 from repro.bench.vector_bench import fan_batch
 from repro.core import ALL, EXIST, DualIndexPlanner, HalfPlaneQuery, SlopeSet
-from repro.exec import BatchExecutor
+from repro.exec import BatchExecutor, merge_partials
 from repro.shard import ShardedDualIndex
-from repro.shard.sharded import _merge_partials
 from repro.workloads import make_relation
 
 #: The fig9-medium workload (Figure 9: medium objects, N=2000, k=3).
@@ -132,7 +131,7 @@ def run_bench(
         merge_seconds = float("inf")
         for _ in range(query_repeats):
             start = time.perf_counter()
-            merged = _merge_partials(parts, len(queries))
+            merged = merge_partials(parts)
             merge_seconds = min(merge_seconds, time.perf_counter() - start)
         matches = matches and all(
             frozenset(res.ids) == want

@@ -145,7 +145,7 @@ class QueryResult:
     ``ids`` is the oracle-exact answer (tuple ids); the remaining fields
     are the per-query measurements the paper's experiments report.
 
-    The columnar batch path hands answers over as numpy tid arrays
+    The batch path hands answers over as numpy tid arrays
     (:meth:`set_lazy_ids`); the Python ``set`` is materialised on first
     access to :attr:`ids`, so callers that only count or never look at
     individual ids (benchmarks, shard fan-out merges) skip the
@@ -241,20 +241,12 @@ class QueryResult:
         self._lazy_extra = None
 
     def set_lazy_ids(self, tids, extra: set[int] | None = None) -> None:
-        """Adopt a columnar answer: a numpy tid array (or a list of
-        disjoint tid arrays, e.g. one view per shard) plus refined
+        """Adopt a columnar answer: a numpy tid array (or a list or
+        tuple of disjoint tid arrays, one per shard) plus refined
         extras. ``ids`` materialises the set only when read."""
         self._ids = None
         self._lazy_tids = tids
         self._lazy_extra = extra
-
-    def lazy_id_columns(self):
-        """The un-materialised answer columns ``(tid array, extra set)``
-        or ``None`` once (or when) the set form exists — lets array
-        consumers (shard merges) bypass set materialisation."""
-        if self._ids is None:
-            return self._lazy_tids, self._lazy_extra
-        return None
 
     @property
     def answer_count(self) -> int:

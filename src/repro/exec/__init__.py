@@ -11,16 +11,18 @@ One batch of half-plane selections, three sources of shared work:
 
 Entry points: :class:`BatchExecutor` (or the convenience wrapper
 :meth:`repro.core.planner.DualIndexPlanner.query_batch`) and the CLI's
-``repro batch`` subcommand.
+``repro batch`` subcommand. :func:`merge_partials` assembles a
+:class:`BatchResult` from one executor's or several shards' partials.
 """
 
 from repro.exec.cache import QueryResultCache, cache_key
-from repro.exec.executor import BatchExecutor, BatchResult
+from repro.exec.executor import BatchExecutor, BatchResult, merge_partials
 from repro.exec.grouping import ExactGroup, VectorGroup, group_queries
 
 __all__ = [
     "BatchExecutor",
     "BatchResult",
+    "merge_partials",
     "QueryResultCache",
     "cache_key",
     "ExactGroup",

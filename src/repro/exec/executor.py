@@ -20,6 +20,16 @@ Answering ``n`` half-plane selections one at a time costs ``n`` descents,
   (:class:`repro.exec.cache.QueryResultCache`), invalidated whenever the
   index version changes.
 
+One private pipeline, :meth:`BatchExecutor._run`, answers every batch
+into :class:`~repro.exec.partials.ShardPartials` (per-query tid arrays
+and counters). :meth:`BatchExecutor.execute` is the result-cache layer
+over it: hits and in-batch duplicates are served from earlier answers,
+the distinct misses run through ``_run``, and :func:`merge_partials`
+assembles the :class:`BatchResult`. :meth:`BatchExecutor.execute_partials`
+runs ``_run`` on the whole batch with no cache — each shard of a
+sharded engine calls it, and the same :func:`merge_partials` combines
+the shards.
+
 Every answer set is identical to what :meth:`DualIndexPlanner.query`
 returns sequentially (itself oracle-exact); only the page-access bill
 changes. Neither path reads a handicap aggregate, so a batch never
@@ -43,7 +53,7 @@ from repro.core.query import ALL, HalfPlaneQuery, QueryResult
 from repro.errors import QueryError
 from repro.exec.cache import CacheKey, QueryResultCache, cache_key
 from repro.exec.grouping import ExactGroup, group_queries
-from repro.exec.partials import TECH_VECTOR, ShardPartials
+from repro.exec.partials import ShardPartials
 from repro.geometry.polyhedron import warm_batch
 from repro.geometry.predicates import all_halfplane, exist_halfplane
 from repro.geometry.vectorized import DualSurface
@@ -139,41 +149,25 @@ class BatchExecutor:
     # public API
     # ------------------------------------------------------------------
     def execute(self, queries: Sequence[HalfPlaneQuery]) -> BatchResult:
-        """Answer every query in the batch; results align with inputs."""
-        log_slopes = self.planner.slope_logging
-        for query in queries:
-            if query.dimension != 2:
-                raise QueryError("BatchExecutor is 2-D; use DDimPlanner")
-            if log_slopes:
+        """Answer every query in the batch; results align with inputs.
+
+        The result-cache layer over :meth:`_run`: cache hits and later
+        occurrences of a query are served without execution (``cached``
+        set), the distinct misses run as one batch and are published to
+        the cache.
+        """
+        queries = list(queries)
+        _check_2d(queries)
+        if self.planner.slope_logging:
+            for query in queries:
                 slopelog.record(query.slope_2d, query.query_type)
         version = self.index.version
-        batch = BatchResult(results=[None] * len(queries))  # type: ignore[list-item]
         hits0, misses0 = self.cache.hits, self.cache.misses
-        with obs.span("batch", pager=self.index.pager,
-                      index=self.index.name, queries=len(queries),
-                      **_trace_meta()):
-            with self.index.pager.measure() as scope:
-                self._execute(list(queries), version, batch)
-            batch.io = scope.delta
-        batch.cache_hits = self.cache.hits - hits0
-        batch.cache_misses = self.cache.misses - misses0
-        self._record_metrics(batch)
-        return batch
-
-    # ------------------------------------------------------------------
-    # batch pipeline
-    # ------------------------------------------------------------------
-    def _execute(
-        self,
-        queries: list[HalfPlaneQuery],
-        version: int,
-        batch: BatchResult,
-    ) -> None:
-        # 1. Resolve cache hits and intra-batch duplicates. The first
-        # occurrence of each distinct query executes; later occurrences
-        # are hits on the result being computed.
+        results: list[QueryResult | None] = [None] * len(queries)
+        # The first occurrence of each distinct uncached query executes;
+        # later occurrences are hits on the result being computed.
         pending: dict[CacheKey, list[int]] = {}
-        fresh: list[tuple[int, HalfPlaneQuery]] = []
+        misses: list[HalfPlaneQuery] = []
         for position, query in enumerate(queries):
             key = cache_key(query)
             if key in pending:
@@ -182,111 +176,60 @@ class BatchExecutor:
                 continue
             cached = self.cache.get(query, version)
             if cached is not None:
-                batch.results[position] = _clone_cached(cached)
+                results[position] = _clone_cached(cached)
                 continue
             pending[key] = [position]
-            fresh.append((position, query))
-
-        # 2. Group the fresh queries by shared work.
-        exact_groups, vector_groups = group_queries(
-            fresh, self.index.slopes, _slope_tol()
-        )
-        batch.exact_groups = len(exact_groups)
-        batch.vector_groups = len(vector_groups)
-
-        # 3. One merged sweep per exact group.
-        sweeps = [self._sweep_group(group) for group in exact_groups]
-
-        # 4. One shared refinement fetch for every boundary candidate of
-        # every exact group, pages pinned while the verify loop runs.
-        decoded = self._fetch_boundary(_boundary_union(sweeps), batch)
-
-        # 5. Per-query verify + assemble, exactly the sequential
-        # refinement predicate on exactly the sequential boundary set.
-        for leaves, partials in sweeps:
-            batch.sweep_leaves += leaves
-            for position, query, accepted, boundary in partials:
-                result = self._assemble_exact(query, accepted, boundary, decoded)
-                batch.results[position] = result
-
-        # 6. Vectorized path: one dual-surface pass per distinct slope.
-        for group in vector_groups:
-            surface = self._surface()
-            for position, query in zip(group.indices, group.queries):
-                result = QueryResult(technique="vector")
-                result.set_lazy_ids(
-                    surface.answer_tids(
-                        query.query_type,
-                        query.slope_2d,
-                        query.intercept,
-                        query.theta,
-                    )
-                )
-                result.candidates = len(surface)
-                batch.results[position] = result
-
-        # 7. Publish to the cache and materialise duplicates.
-        for key, positions in pending.items():
-            first = batch.results[positions[0]]
-            assert first is not None
-            self.cache.put(queries[positions[0]], first, version)
+            misses.append(query)
+        batch = merge_partials([self._measured_run(misses, len(queries))])
+        for positions, result in zip(pending.values(), batch.results):
+            self.cache.put(queries[positions[0]], result, version)
+            results[positions[0]] = result
             for position in positions[1:]:
-                batch.results[position] = _clone_cached(first)
+                results[position] = _clone_cached(result)
+        batch.results = results  # type: ignore[assignment]
+        batch.cache_hits = self.cache.hits - hits0
+        batch.cache_misses = self.cache.misses - misses0
+        self._record_metrics(batch)
+        return batch
 
     def execute_partials(self, queries: Sequence[HalfPlaneQuery]) -> ShardPartials:
-        """Answer a batch as compact :class:`ShardPartials` columns.
+        """Answer a batch as :class:`ShardPartials`, without the cache.
 
-        Same grouping, sweeps, refinement and answers as
-        :meth:`execute`, but per-query results stay numpy columns — no
-        :class:`QueryResult` objects, no result cache. This is the path
-        each shard of :class:`~repro.shard.ShardedDualIndex` runs: on a
-        sharded batch the per-query Python assembly would otherwise be
-        repeated on every shard, and it is exactly the cost that does
-        not shrink with the shard count. Duplicate queries inside the
-        batch are deduplicated the same way :meth:`execute` does, so
-        page accounting matches :meth:`execute` bit for bit. Records the
-        same ``exec_*`` metrics as :meth:`execute`.
+        The pipeline :meth:`execute` runs on its cache misses, applied
+        to the whole batch: per-query answers stay tid arrays — no
+        :class:`QueryResult` objects — and the result cache is not
+        consulted. This is what each shard of
+        :class:`~repro.shard.ShardedDualIndex` runs; :func:`merge_partials`
+        assembles the shards' partials. Duplicate queries inside the
+        batch execute once and count as cache hits, so page accounting
+        equals :meth:`execute`'s on a cold cache. Records the same
+        ``exec_*`` metrics as :meth:`execute`.
         """
-        for query in queries:
-            if query.dimension != 2:
-                raise QueryError("BatchExecutor is 2-D; use DDimPlanner")
         queries = list(queries)
-        n = len(queries)
-        out = ShardPartials(
-            extras=[None] * n,
-            technique=np.zeros(n, dtype=np.uint8),
-            candidates=np.zeros(n, dtype=np.int64),
-            false_hits=np.zeros(n, dtype=np.int64),
-            accepted_without_refinement=np.zeros(n, dtype=np.int64),
-            refinement_pages_q=np.zeros(n, dtype=np.int64),
-        )
-        columns: list = [None] * n
-        with obs.span("batch", pager=self.index.pager,
-                      index=self.index.name, queries=n,
-                      **_trace_meta()):
-            with self.index.pager.measure() as scope:
-                self._execute_partials(queries, out, columns)
-            out.io = scope.delta
-        sizes = np.fromiter(
-            (c.size for c in columns), dtype=np.int64, count=n
-        )
-        out.offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=out.offsets[1:])
-        out.tids = (
-            np.concatenate(columns) if n else np.empty(0, dtype=np.int64)
-        )
+        _check_2d(queries)
+        out = self._measured_run(queries, len(queries))
         self._record_metrics(out)
         return out
 
-    def _execute_partials(
-        self,
-        queries: list[HalfPlaneQuery],
-        out: ShardPartials,
-        columns: list,
-    ) -> None:
-        # 1. Intra-batch duplicates execute once (same dedup as
-        # `_execute`, so sweeps and page accounting are identical); the
-        # result cache is not consulted — every batch is answered cold.
+    # ------------------------------------------------------------------
+    # batch pipeline
+    # ------------------------------------------------------------------
+    def _measured_run(
+        self, queries: list[HalfPlaneQuery], batch_size: int
+    ) -> ShardPartials:
+        """:meth:`_run` inside the batch span, with its page delta."""
+        with obs.span("batch", pager=self.index.pager,
+                      index=self.index.name, queries=batch_size,
+                      **_trace_meta()):
+            with self.index.pager.measure() as scope:
+                out = self._run(queries)
+            out.io = scope.delta
+        return out
+
+    def _run(self, queries: list[HalfPlaneQuery]) -> ShardPartials:
+        """The one code path that answers a batch."""
+        out = ShardPartials.sized(len(queries))
+        # 1. Intra-batch duplicates execute once.
         pending: dict[CacheKey, list[int]] = {}
         fresh: list[tuple[int, HalfPlaneQuery]] = []
         for position, query in enumerate(queries):
@@ -299,42 +242,44 @@ class BatchExecutor:
             pending[key] = [position]
             fresh.append((position, query))
 
+        # 2. Group the fresh queries by shared work.
         exact_groups, vector_groups = group_queries(
             fresh, self.index.slopes, _slope_tol()
         )
         out.exact_groups = len(exact_groups)
         out.vector_groups = len(vector_groups)
 
+        # 3. One merged sweep per exact group.
         sweeps = [self._sweep_group(group) for group in exact_groups]
-        scratch = BatchResult()
-        decoded = self._fetch_boundary(_boundary_union(sweeps), scratch)
-        out.refinement_pages = scratch.refinement_pages
 
-        scratch_result = QueryResult()
+        # 4. One shared refinement fetch for every boundary candidate of
+        # every exact group, pages pinned while the verify loop runs.
+        decoded = self._fetch_boundary(_boundary_union(sweeps), out)
+
+        # 5. Per-query verify, exactly the sequential refinement
+        # predicate on exactly the sequential boundary set.
         for leaves, partials in sweeps:
             out.sweep_leaves += leaves
             for position, query, accepted, boundary in partials:
                 out.candidates[position] = len(accepted) + len(boundary)
                 out.accepted_without_refinement[position] = len(accepted)
-                columns[position] = self.index.tids_for_rids(accepted)
-                boundary_list = boundary.tolist()
-                if boundary_list:
+                out.tids[position] = self.index.tids_for_rids(accepted)
+                if len(boundary):
                     out.refinement_pages_q[position] = int(
                         rid_pages(boundary).size
                     )
-                    scratch_result.false_hits = 0
-                    confirmed = self._verify_boundary(
-                        query, boundary_list, decoded, scratch_result
+                    out.extras[position], out.false_hits[position] = (
+                        self._verify_boundary(
+                            query, boundary.tolist(), decoded
+                        )
                     )
-                    out.false_hits[position] = scratch_result.false_hits
-                    if confirmed:
-                        out.extras[position] = confirmed
 
+        # 6. Vectorized path: one dual-surface pass per distinct slope.
         for group in vector_groups:
             surface = self._surface()
             for position, query in zip(group.indices, group.queries):
-                out.technique[position] = TECH_VECTOR
-                columns[position] = surface.answer_tids(
+                out.technique[position] = "vector"
+                out.tids[position] = surface.answer_tids(
                     query.query_type,
                     query.slope_2d,
                     query.intercept,
@@ -342,21 +287,11 @@ class BatchExecutor:
                 )
                 out.candidates[position] = len(surface)
 
-        # Duplicate positions share the first occurrence's columns.
+        # 7. Duplicate positions share the first occurrence's answer.
         for positions in pending.values():
-            first = positions[0]
             for position in positions[1:]:
-                columns[position] = columns[first]
-                out.extras[position] = out.extras[first]
-                out.technique[position] = out.technique[first]
-                out.candidates[position] = out.candidates[first]
-                out.false_hits[position] = out.false_hits[first]
-                out.accepted_without_refinement[position] = (
-                    out.accepted_without_refinement[first]
-                )
-                out.refinement_pages_q[position] = (
-                    out.refinement_pages_q[first]
-                )
+                out.copy_answer(positions[0], position)
+        return out
 
     # ------------------------------------------------------------------
     # exact groups
@@ -424,7 +359,7 @@ class BatchExecutor:
         return sweep.leaves, partials
 
     def _fetch_boundary(
-        self, boundary_rids: set[int], batch: BatchResult
+        self, boundary_rids: set[int], out: ShardPartials
     ) -> dict[int, tuple[int, GeneralizedTuple]]:
         """Fetch + decode all boundary candidates, each page once.
 
@@ -434,7 +369,7 @@ class BatchExecutor:
         if not boundary_rids:
             return {}
         pages = {unpack_rid(rid)[0] for rid in boundary_rids}
-        batch.refinement_pages = len(pages)
+        out.refinement_pages = len(pages)
         with self._io_lock, self.index.pager.pinned(pages):
             with obs.span("fetch.batch", rids=len(boundary_rids)):
                 records = self.index.heap.fetch_batch(boundary_rids)
@@ -442,46 +377,25 @@ class BatchExecutor:
         warm_batch([t.extension() for _tid, t in decoded.values()])
         return decoded
 
-    def _assemble_exact(
-        self,
-        query: HalfPlaneQuery,
-        accepted,
-        boundary,
-        decoded: dict[int, tuple[int, GeneralizedTuple]],
-    ) -> QueryResult:
-        result = QueryResult(technique="exact")
-        result.accepted_without_refinement = len(accepted)
-        result.candidates = len(accepted) + len(boundary)
-        # Vectorized rid -> tid translation, the answer handed over as a
-        # lazy tid column (materialised as a set on access).
-        tids = self.index.tids_for_rids(accepted)
-        if not len(boundary):
-            result.set_lazy_ids(tids)
-            return result
-        result.refinement_pages = int(rid_pages(boundary).size)
-        extra = self._verify_boundary(query, boundary.tolist(), decoded, result)
-        result.set_lazy_ids(tids, extra)
-        return result
-
     def _verify_boundary(
         self,
         query: HalfPlaneQuery,
         boundary,
         decoded: dict[int, tuple[int, GeneralizedTuple]],
-        result: QueryResult,
-    ) -> set[int]:
+    ) -> tuple[set[int], int]:
         """Run the refinement predicate over one query's boundary rids;
-        returns the confirmed tids and counts false hits on ``result``."""
+        returns the confirmed tids and the number of false hits."""
         predicate = all_halfplane if query.query_type == ALL else exist_halfplane
         slope, intercept, theta = query.slope_2d, query.intercept, query.theta
         confirmed: set[int] = set()
+        false_hits = 0
         for rid in boundary:
             tid, t = decoded[rid]
             if predicate(t.extension(), slope, intercept, theta):
                 confirmed.add(tid)
             else:
-                result.false_hits += 1
-        return confirmed
+                false_hits += 1
+        return confirmed, false_hits
 
     # ------------------------------------------------------------------
     # vector path
@@ -521,6 +435,91 @@ class BatchExecutor:
         return (
             f"<BatchExecutor index={self.index.name!r} cache={self.cache!r}>"
         )
+
+
+def merge_partials(parts: Sequence[ShardPartials]) -> BatchResult:
+    """Assemble one :class:`BatchResult` from the partials of one or more
+    runs over the same queries (one per shard of a sharded batch).
+
+    Answers are unions and diagnostics sums: the parts cover disjoint
+    tuples. Each answer stays lazy — its tid array, or one per part —
+    so a Python set only exists if a caller reads ``ids``.
+    """
+    if not parts:
+        return BatchResult()
+    part = parts[0] if len(parts) == 1 else _combine(parts)
+    results = []
+    for technique, tids, extra, candidates, false_hits, accepted, pages in zip(
+        part.technique,
+        part.tids,
+        part.extras,
+        part.candidates,
+        part.false_hits,
+        part.accepted_without_refinement,
+        part.refinement_pages_q,
+    ):
+        result = QueryResult(
+            technique=technique,
+            candidates=candidates,
+            false_hits=false_hits,
+            accepted_without_refinement=accepted,
+            refinement_pages=pages,
+        )
+        result.set_lazy_ids(tids, extra)
+        results.append(result)
+    return BatchResult(
+        results=results,
+        io=part.io,
+        cache_hits=part.cache_hits,
+        cache_misses=part.cache_misses,
+        exact_groups=part.exact_groups,
+        vector_groups=part.vector_groups,
+        sweep_leaves=part.sweep_leaves,
+        refinement_pages=part.refinement_pages,
+    )
+
+
+def _combine(parts: Sequence[ShardPartials]) -> ShardPartials:
+    """Several parts as one: per query, the tuple of the parts' tid
+    arrays, the union of their extras and the summed counters."""
+
+    def summed(name: str) -> list[int]:
+        return [sum(v) for v in zip(*(getattr(p, name) for p in parts))]
+
+    def total(name: str) -> int:
+        return sum(getattr(p, name) for p in parts)
+
+    return ShardPartials(
+        tids=list(zip(*(p.tids for p in parts))),
+        extras=[_union(extras) for extras in zip(*(p.extras for p in parts))],
+        technique=parts[0].technique,
+        candidates=summed("candidates"),
+        false_hits=summed("false_hits"),
+        accepted_without_refinement=summed("accepted_without_refinement"),
+        refinement_pages_q=summed("refinement_pages_q"),
+        io=sum((p.io for p in parts), IOStats()),
+        cache_hits=total("cache_hits"),
+        cache_misses=total("cache_misses"),
+        exact_groups=total("exact_groups"),
+        vector_groups=total("vector_groups"),
+        sweep_leaves=total("sweep_leaves"),
+        refinement_pages=total("refinement_pages"),
+    )
+
+
+def _union(extras) -> set[int] | None:
+    """Union of the parts' refined extras (``None`` when all empty)."""
+    union: set[int] | None = None
+    for extra in extras:
+        if extra:
+            union = extra if union is None else union | extra
+    return union
+
+
+def _check_2d(queries: Sequence[HalfPlaneQuery]) -> None:
+    for query in queries:
+        if query.dimension != 2:
+            raise QueryError("BatchExecutor is 2-D; use DDimPlanner")
 
 
 def _clone_cached(result: QueryResult) -> QueryResult:

@@ -23,18 +23,18 @@ sharded answers are bit-identical to the unsharded engine's for every N.
 Shards run one after another on the calling thread. The per-shard work
 is CPU-bound Python and numpy, so threads under the interpreter lock
 only interleave it, and forked workers pay pickling and IPC on every
-batch; neither beats the plain loop. A batch goes through each shard's
-lean columnar path (:meth:`repro.exec.BatchExecutor.execute_partials`)
-and :func:`_merge_partials` assembles the columns into one
+batch; neither beats the plain loop. A batch runs each shard's
+cache-less batch pipeline
+(:meth:`repro.exec.BatchExecutor.execute_partials`), and
+:func:`repro.exec.merge_partials` — the same assembler the unsharded
+:meth:`~repro.exec.BatchExecutor.execute` uses — turns the shards'
+:class:`~repro.exec.partials.ShardPartials` into one
 :class:`~repro.exec.BatchResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from repro.constraints.relation import GeneralizedRelation
 from repro.constraints.theta import Theta
@@ -44,7 +44,7 @@ from repro.core.planner import DualIndexPlanner
 from repro.core.query import ALL, EXIST, HalfPlaneQuery, QueryResult
 from repro.core.slope_set import SlopeSet
 from repro.errors import IndexError_
-from repro.exec.executor import BatchExecutor, BatchResult
+from repro.exec.executor import BatchExecutor, BatchResult, merge_partials
 from repro.obs import trace as obs
 from repro.obs import slopelog
 from repro.obs import tracer
@@ -56,11 +56,6 @@ from repro.storage.stats import IOStats
 def shard_of(tid: int, shards: int) -> int:
     """The shard owning tuple ``tid`` (hash partition by id)."""
     return tid % shards
-
-
-def _add_io(total: IOStats, part: IOStats) -> None:
-    for f in dataclass_fields(IOStats):
-        setattr(total, f.name, getattr(total, f.name) + getattr(part, f.name))
 
 
 class ShardedDualIndex:
@@ -100,8 +95,8 @@ class ShardedDualIndex:
         #: ``shard_*{shard=i}`` labeled series (see
         #: :meth:`_drain_shard_metrics`).
         self._shard_registries = [MetricsRegistry() for _ in self.planners]
-        # One cache-less executor per shard: the columnar partials path
-        # never reads a result cache.
+        # One cache-less executor per shard: the partials path never
+        # reads a result cache.
         self._executors = [
             BatchExecutor(p, cache_size=0, registry=reg)
             for p, reg in zip(self.planners, self._shard_registries)
@@ -228,8 +223,8 @@ class ShardedDualIndex:
         return _merge_query_results(partials)
 
     def query_batch(self, queries: Sequence[HalfPlaneQuery]) -> BatchResult:
-        """Answer a batch on every shard's columnar partials path in
-        turn and merge the columns plus batch-scope accounting."""
+        """Answer a batch on every shard's partials path in turn and
+        merge the per-query answers plus batch-scope accounting."""
         queries = list(queries)
         for q in queries:
             slopelog.record(q.slope_2d, q.query_type)
@@ -238,7 +233,7 @@ class ShardedDualIndex:
             obs.incr("shard_fanout.batches")
             obs.incr("shard_fanout.queries", len(queries))
             parts = [ex.execute_partials(queries) for ex in self._executors]
-        merged = _merge_partials(parts, len(queries))
+        merged = merge_partials(parts)
         self.registry.counter(
             "shard_fanout_batches", "Batches fanned out across shards"
         ).inc()
@@ -246,12 +241,7 @@ class ShardedDualIndex:
             "shard_fanout_queries", "Queries answered by shard fan-out"
         ).inc(len(queries) * self.shards)
         for i, part in enumerate(parts):
-            answers = int(part.offsets[-1]) + sum(
-                len(e) for e in part.extras if e
-            )
-            self._record_shard_work(
-                i, part.io.logical_reads + part.io.logical_writes, answers
-            )
+            self._record_shard_work(i, part.io.page_accesses, part.answers)
         self._drain_shard_metrics()
         return merged
 
@@ -323,85 +313,16 @@ def _trace_meta() -> dict:
     return {"trace": ctx.trace_id} if ctx is not None else {}
 
 
-def _merge_partials(parts, n_queries: int) -> BatchResult:
-    """Assemble the facade's :class:`BatchResult` from per-shard
-    :class:`~repro.exec.partials.ShardPartials` columns.
-
-    Per-query answer sets stay lazy: each merged result holds one
-    zero-copy tid-column view per shard (disjoint by construction), so
-    the merge is O(shards) slicing per query — no set unions, no
-    concatenations — and a Python set only exists if a caller reads
-    ``ids``.
-    """
-    from repro.exec.partials import TECH_NAMES
-
-    merged = BatchResult(results=[None] * n_queries)  # type: ignore[list-item]
-    if not parts:
-        return merged
-    # Convert to Python ints once: indexing numpy arrays per query took
-    # over a third of the merge.
-    candidates = sum(p.candidates for p in parts).tolist()
-    false_hits = sum(p.false_hits for p in parts).tolist()
-    accepted = sum(p.accepted_without_refinement for p in parts).tolist()
-    refinement_q = sum(p.refinement_pages_q for p in parts).tolist()
-    technique = parts[0].technique.tolist()
-    views = []
-    for p in parts:
-        offsets = p.offsets.tolist()
-        views.append([p.tids[a:b] for a, b in zip(offsets, offsets[1:])])
-    per_query = zip(zip(*views), zip(*(p.extras for p in parts)))
-    for j, (columns, extras) in enumerate(per_query):
-        result = QueryResult(technique=TECH_NAMES[technique[j]])
-        extra: set[int] | None = None
-        for part_extra in extras:
-            if part_extra:
-                extra = set(part_extra) if extra is None else extra | part_extra
-        result.set_lazy_ids(list(columns), extra)
-        result.candidates = candidates[j]
-        result.false_hits = false_hits[j]
-        result.accepted_without_refinement = accepted[j]
-        result.refinement_pages = refinement_q[j]
-        merged.results[j] = result
-    for p in parts:
-        _add_io(merged.io, p.io)
-        merged.cache_hits += p.cache_hits
-        merged.cache_misses += p.cache_misses
-        merged.exact_groups += p.exact_groups
-        merged.vector_groups += p.vector_groups
-        merged.sweep_leaves += p.sweep_leaves
-        merged.refinement_pages += p.refinement_pages
-    return merged
-
-
 def _merge_query_results(partials: Sequence[QueryResult]) -> QueryResult:
-    """Union the answer sets of disjoint shards; sum the diagnostics.
-
-    When every partial still holds its answer as lazy tid columns (the
-    columnar batch path), the merge stays columnar: shard answers are
-    disjoint, so the union is one array concatenation and the merged
-    result materialises a Python set only if a caller reads ``ids``.
-    """
+    """Union the answer sets of disjoint shards; sum the diagnostics."""
     merged = QueryResult(technique=partials[0].technique)
     merged.cached = all(p.cached for p in partials)
-    columns = [part.lazy_id_columns() for part in partials]
-    if all(cols is not None for cols in columns):
-        arrays = [tids for tids, _extra in columns]
-        extra: set[int] = set()
-        for _tids, part_extra in columns:
-            if part_extra:
-                extra |= part_extra
-        merged.set_lazy_ids(
-            arrays[0] if len(arrays) == 1 else np.concatenate(arrays),
-            extra or None,
-        )
-    else:
-        for part in partials:
-            merged.ids |= part.ids
     for part in partials:
+        merged.ids |= part.ids
         merged.candidates += part.candidates
         merged.false_hits += part.false_hits
         merged.duplicates += part.duplicates
         merged.accepted_without_refinement += part.accepted_without_refinement
         merged.refinement_pages += part.refinement_pages
-        _add_io(merged.io, part.io)
+    merged.io = sum((part.io for part in partials), IOStats())
     return merged

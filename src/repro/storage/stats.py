@@ -51,6 +51,17 @@ class IOStats:
             self.frees - earlier.frees,
         )
 
+    def __add__(self, other: "IOStats") -> "IOStats":
+        """Fieldwise sum (work on disjoint pager stacks adds up)."""
+        return IOStats(
+            self.logical_reads + other.logical_reads,
+            self.logical_writes + other.logical_writes,
+            self.physical_reads + other.physical_reads,
+            self.physical_writes + other.physical_writes,
+            self.allocations + other.allocations,
+            self.frees + other.frees,
+        )
+
     def as_dict(self) -> dict[str, int]:
         """Counters as a plain dict (the trace/metrics JSON schema)."""
         return {

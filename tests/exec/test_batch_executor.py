@@ -114,3 +114,48 @@ def test_empty_batch():
     state = _setup()
     batch = BatchExecutor(state["planner"]).execute([])
     assert batch.results == [] and batch.page_accesses == 0
+
+
+def test_mixed_batch_of_hits_duplicates_and_fresh_queries():
+    """One batch mixing a hit left by an earlier batch, an intra-batch
+    duplicate of a miss, and fresh exact and vector queries: only the
+    distinct misses execute, and they cost what they cost alone."""
+    from repro.obs.metrics import MetricsRegistry
+
+    state = _setup()
+    planner = state["planner"]
+    earlier = HalfPlaneQuery(EXIST, SLOPES[0], 3.0, ">=")
+    exact = HalfPlaneQuery(ALL, SLOPES[1], -11.0, "<=")
+    misses = [
+        exact,
+        HalfPlaneQuery(EXIST, 0.7, 3.0, ">="),
+        HalfPlaneQuery(EXIST, SLOPES[2], -11.0, "<="),
+        HalfPlaneQuery(ALL, -0.4, 3.0, ">="),
+    ]
+    batch = [misses[0], earlier, exact, misses[1], misses[2], misses[3]]
+    # Build the dual surface first, so neither measured run pays for it.
+    BatchExecutor(planner, cache_size=0).execute(misses[1:2])
+    alone = BatchExecutor(planner, cache_size=0).execute(misses)
+
+    registry = MetricsRegistry()
+    executor = BatchExecutor(planner, registry=registry)
+    executor.execute([earlier])
+    hits = registry.counter("exec_cache_hits")
+    cache_misses = registry.counter("exec_cache_misses")
+    hits0, misses0 = hits.value, cache_misses.value
+    result = executor.execute(batch)
+
+    assert result.cache_hits == 2
+    assert result.cache_misses == 4
+    assert [r.cached for r in result.results] == [
+        False, True, True, False, False, False,
+    ]
+    assert hits.value - hits0 == 2
+    assert cache_misses.value - misses0 == 4
+    assert result.page_accesses == alone.page_accesses > 0
+    assert (result.exact_groups, result.vector_groups) == (2, 2)
+    assert [r.technique for r in result.results] == [
+        "exact", "exact", "exact", "vector", "exact", "vector",
+    ]
+    for query, res in zip(batch, result.results):
+        assert res.ids == planner.query(query).ids, query

@@ -1,13 +1,17 @@
-"""Lean partials path and lazy columnar answers.
+"""The one batch pipeline and lazy columnar answers.
 
-``BatchExecutor.execute_partials`` is what every shard of a
-``ShardedDualIndex`` runs for a batch: it must be the same computation
-as ``execute`` — same answers, same per-query accounting, same batch
-page accounting — minus the per-query ``QueryResult`` objects and the
-result cache. ``QueryResult.set_lazy_ids`` is the handoff that lets
-those columns cross into the merged result objects without set
+``BatchExecutor.execute`` and ``execute_partials`` both answer through
+the same private pipeline, so their parity holds by construction; these
+tests pin that pipeline to the sequential planner instead — same
+answers, and for exact-slope queries the same per-query accounting —
+and check the batch-scope accounting of the two entry points.
+``execute_partials`` is what every shard of a ``ShardedDualIndex``
+runs; ``QueryResult.set_lazy_ids`` is the handoff that lets its tid
+arrays cross into the merged result objects without set
 materialisation.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +20,6 @@ from repro.bench.vector_bench import fan_batch
 from repro.core import ALL, EXIST, DualIndexPlanner, HalfPlaneQuery, SlopeSet
 from repro.core.query import QueryResult
 from repro.exec import BatchExecutor
-from repro.exec.partials import TECH_NAMES, ShardPartials
 from repro.shard import ShardedDualIndex
 from repro.workloads import make_relation
 
@@ -40,24 +43,59 @@ def queries():
     return batch
 
 
+@pytest.fixture(scope="module")
+def exact_queries(planner):
+    """200 queries on the index's own slopes, both types and operators.
+
+    Half the intercepts sit on some tuple's TOP or BOT at the slope, so
+    they land in the refinement band and exercise the verify step; the
+    rest spread over the populated key range.
+    """
+    rng = random.Random(11)
+    surface = planner.index.surface()
+    keys = {}
+    for slope in SlopeSet.uniform_angles(3):
+        values = np.concatenate((surface.top_at(slope), surface.bot_at(slope)))
+        keys[slope] = values[np.isfinite(values)].tolist()
+    queries = []
+    for _ in range(200):
+        slope = rng.choice(sorted(keys))
+        if rng.random() < 0.5:
+            intercept = rng.choice(keys[slope])
+        else:
+            intercept = round(rng.uniform(-40.0, 40.0), 3)
+        queries.append(HalfPlaneQuery(
+            rng.choice((EXIST, ALL)), slope, intercept,
+            rng.choice((">=", "<=")),
+        ))
+    return queries
+
+
 class TestExecutePartialsParity:
-    def test_matches_execute(self, planner, queries):
-        full = BatchExecutor(planner, cache_size=0).execute(queries)
-        parts = BatchExecutor(planner, cache_size=0).execute_partials(queries)
-        assert len(parts) == len(queries)
-        for j, result in enumerate(full.results):
-            ids = set(parts.tid_column(j).tolist())
-            if parts.extras[j]:
-                ids |= parts.extras[j]
-            assert ids == result.ids, queries[j]
-            assert TECH_NAMES[parts.technique[j]] == result.technique
-            assert parts.candidates[j] == result.candidates
-            assert parts.false_hits[j] == result.false_hits
+    def test_matches_execute(self, planner, queries, exact_queries):
+        """``execute`` answers like ``planner.query``; on exact slopes it
+        also reports the planner's per-query accounting."""
+        batch = queries + exact_queries
+        results = BatchExecutor(planner, cache_size=0).execute(batch).results
+        assert len(results) == len(batch)
+        exact = 0
+        for query, result in zip(batch, results):
+            want = planner.query(query)
+            assert result.ids == want.ids, query
+            if want.technique != "exact":
+                assert result.technique == "vector", query
+                continue
+            exact += 1
+            assert result.technique == "exact", query
+            assert result.candidates == want.candidates, query
+            assert result.false_hits == want.false_hits, query
             assert (
-                parts.accepted_without_refinement[j]
-                == result.accepted_without_refinement
-            )
-            assert parts.refinement_pages_q[j] == result.refinement_pages
+                result.accepted_without_refinement
+                == want.accepted_without_refinement
+            ), query
+            assert result.refinement_pages == want.refinement_pages, query
+        assert exact >= len(exact_queries)
+        assert any(r.refinement_pages for r in results)
 
     def test_batch_accounting_matches_execute(self, planner, queries):
         full = BatchExecutor(planner, cache_size=0).execute(queries)
@@ -71,16 +109,10 @@ class TestExecutePartialsParity:
         assert parts.cache_hits == full.cache_hits
         assert parts.cache_misses == full.cache_misses
 
-    def test_offsets_partition_tid_column(self, planner, queries):
-        parts = BatchExecutor(planner, cache_size=0).execute_partials(queries)
-        assert parts.offsets[0] == 0
-        assert parts.offsets[-1] == parts.tids.size
-        assert np.all(np.diff(parts.offsets) >= 0)
-
     def test_empty_batch(self, planner):
         parts = BatchExecutor(planner, cache_size=0).execute_partials([])
         assert len(parts) == 0
-        assert parts.tids.size == 0
+        assert parts.tids == []
 
 
 class TestShardedBatch:
@@ -134,10 +166,10 @@ class TestLazyQueryResult:
         res = QueryResult(technique="exact")
         res.set_lazy_ids(np.array([3, 1, 2], dtype=np.int64), {9})
         assert res.answer_count == 4
-        assert res.lazy_id_columns() is not None
-        assert res.ids == {1, 2, 3, 9}
-        # Materialised: columns are gone, count comes from the set.
-        assert res.lazy_id_columns() is None
+        ids = res.ids
+        assert ids == {1, 2, 3, 9}
+        # Materialised once: later reads return the same set object.
+        assert res.ids is ids
         assert res.answer_count == 4
 
     def test_column_list_unions_disjoint_shards(self):
@@ -164,22 +196,7 @@ class TestLazyQueryResult:
         res = QueryResult(technique="exact")
         res.set_lazy_ids(np.array([1, 2], dtype=np.int64))
         assert "|ids|=2" in repr(res)
-        assert res.lazy_id_columns() is not None
-
-
-class TestShardPartialsContainer:
-    def test_tid_column_is_view(self):
-        parts = ShardPartials(
-            tids=np.array([10, 11, 12], dtype=np.int64),
-            offsets=np.array([0, 2, 3], dtype=np.int64),
-            extras=[None, None],
-            technique=np.zeros(2, dtype=np.uint8),
-            candidates=np.zeros(2, dtype=np.int64),
-            false_hits=np.zeros(2, dtype=np.int64),
-            accepted_without_refinement=np.zeros(2, dtype=np.int64),
-            refinement_pages_q=np.zeros(2, dtype=np.int64),
-        )
-        assert len(parts) == 2
-        assert parts.tid_column(0).tolist() == [10, 11]
-        assert parts.tid_column(1).tolist() == [12]
-        assert parts.tid_column(0).base is parts.tids
+        # The answer is still the lazy columns: materialising it now
+        # yields a fresh set with the right members.
+        assert res.answer_count == 2
+        assert res.ids == {1, 2}

@@ -275,7 +275,7 @@ def test_facade_registry_gets_labeled_shard_series():
 
 
 def test_batch_keeps_per_shard_executor_series():
-    """The columnar partials path records the executor's ``exec_*``
+    """The partials path records the executor's ``exec_*``
     counters, so they still drain as ``shard_exec_*{shard=i}``."""
     from repro.obs.metrics import MetricsRegistry
 
