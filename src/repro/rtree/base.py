@@ -291,7 +291,14 @@ class RTreeBase:
             obs.incr("rtree.node_visits")
             obs.incr("comparisons", node.count)
             for r, p in zip(node.rects, node.pointers):
-                if not r.intersects_halfplane(slope, intercept, theta):
+                # Widened by the margin: a piece up to ORACLE_TOL on the
+                # wrong side of the line is still an oracle answer, so
+                # it must reach refinement. An enclosing MBR's margin is
+                # at least its children's, so no such piece is pruned.
+                margin = self._confirm_margin(r, slope)
+                if not r.intersects_halfplane(
+                    slope, intercept, theta, tol=margin
+                ):
                     continue
                 if level > 1:
                     stack.append((p, level - 1))
@@ -299,8 +306,7 @@ class RTreeBase:
                     query_type == "EXIST"
                     and self.pieces_are_tight
                     and r.inside_halfplane(
-                        slope, intercept, theta,
-                        tol=-self._confirm_margin(r, slope),
+                        slope, intercept, theta, tol=-margin
                     )
                 ):
                     # Strictly inside by more than the float32 coordinate
@@ -315,7 +321,9 @@ class RTreeBase:
     def _confirm_margin(self, rect: Rect, slope: Sequence[float]) -> float:
         """Upper bound on the query-functional error caused by the
         outward float32 rounding of stored MBR coordinates, plus the
-        oracle tolerance — the safety band for refinement-free accepts."""
+        oracle tolerance — the safety band for refinement-free accepts
+        and for the descent test. It grows with the box, so an
+        enclosing MBR's margin bounds its children's."""
         if self.codec.key_bytes == 8:
             return 1e-6
         eps = 2.4e-7  # two float32 ULP steps, relative

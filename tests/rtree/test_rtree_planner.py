@@ -7,7 +7,7 @@ import pytest
 from repro.constraints import GeneralizedRelation, GeneralizedTuple, Theta
 from repro.core import ALL, EXIST, HalfPlaneQuery
 from repro.errors import QueryError
-from repro.geometry.predicates import evaluate_relation
+from repro.geometry.predicates import ORACLE_TOL, evaluate_relation
 from repro.rtree.guttman import GuttmanRTree
 from repro.rtree.planner import RTreePlanner
 from repro.storage import Pager
@@ -16,7 +16,6 @@ from tests.conftest import (
     random_bounded_tuple,
     random_mixed_relation,
     scalar_refine,
-    surface_values,
 )
 
 
@@ -82,9 +81,9 @@ class TestQueries:
 
 class TestSharedRefinement:
     """The shared refinement (batched warm-up, then the predicates)
-    equals a scalar per-candidate loop on the R-tree's candidates,
-    degenerate (point/segment) tuples and intercepts on (and one
-    tolerance off) their surfaces included."""
+    equals a scalar per-candidate loop on the R-tree's candidates and
+    the oracle, degenerate (point/segment) tuples and intercepts on
+    (and one tolerance off) their surfaces included."""
 
     @pytest.fixture(scope="class")
     def bounded(self):
@@ -105,10 +104,6 @@ class TestSharedRefinement:
         planner, relation = bounded
         # The degenerate tuples come first so their surfaces are probed.
         tuples = [t for _tid, t in relation][::-1]
-        # The MBR descent test keeps only pieces within 1e-9 of the
-        # line, so an object just inside ORACLE_TOL of it can be missed
-        # before refinement; the oracle is compared on the surfaces.
-        on_surface = set(surface_values(tuples, slope, per_side=2))
         refined = 0
         for intercept in boundary_intercepts(tuples, slope, per_side=2):
             for qtype in (ALL, EXIST):
@@ -124,12 +119,27 @@ class TestSharedRefinement:
                     assert got.false_hits == want.false_hits
                     assert got.refinement_pages == want.refinement_pages
                     assert got.page_accesses == want.page_accesses
-                    if intercept in on_surface:
-                        assert got.ids == evaluate_relation(
-                            relation, qtype, slope, intercept, theta
-                        )
+                    assert got.ids == evaluate_relation(
+                        relation, qtype, slope, intercept, theta
+                    )
                     refined += got.candidates - got.accepted_without_refinement
         assert refined > 0
+
+
+@pytest.mark.parametrize("key_bytes", [4, 8])
+def test_point_just_inside_oracle_tolerance_is_answered(key_bytes):
+    """Regression: the MBR descent test pruned at 1e-9, so a tuple up to
+    ORACLE_TOL on the wrong side of the line — an oracle answer — never
+    reached refinement."""
+    relation = GeneralizedRelation(
+        [GeneralizedTuple.from_box((3.0, 4.0), (3.0, 4.0))]
+    )
+    planner = RTreePlanner.build(relation, pager=Pager(), key_bytes=key_bytes)
+    intercept = 4.0 + ORACLE_TOL / 2
+    query = HalfPlaneQuery(EXIST, 0.0, intercept, Theta.GE)
+    want = evaluate_relation(relation, EXIST, 0.0, intercept, Theta.GE)
+    assert want == {0}
+    assert planner.query(query).ids == want
 
 
 class TestDynamic:
