@@ -581,8 +581,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-delay", type=float, default=0.002,
-        help="hold a query at most S seconds awaiting batch-mates "
-             "(default 0.002)",
+        help="batches leave when the engine is idle and no more "
+             "requests are readable; this caps how long a steady "
+             "trickle can hold the oldest query, in seconds "
+             "(default 0.002; 0 flushes every loop tick)",
     )
     serve.add_argument(
         "--max-queue-depth", type=int, default=256,

@@ -20,15 +20,16 @@ Answering ``n`` half-plane selections one at a time costs ``n`` descents,
   (:class:`repro.exec.cache.QueryResultCache`), invalidated whenever the
   index version changes.
 
-One private pipeline, :meth:`BatchExecutor._run`, answers every batch
-into :class:`~repro.exec.partials.ShardPartials` (per-query tid arrays
-and counters). :meth:`BatchExecutor.execute` is the result-cache layer
-over it: hits and in-batch duplicates are served from earlier answers,
-the distinct misses run through ``_run``, and :func:`merge_partials`
-assembles the :class:`BatchResult`. :meth:`BatchExecutor.execute_partials`
-runs ``_run`` on the whole batch with no cache — each shard of a
-sharded engine calls it, and the same :func:`merge_partials` combines
-the shards.
+One private pipeline, :meth:`BatchExecutor._run`, answers a batch of
+distinct queries into :class:`~repro.exec.partials.ShardPartials`
+(per-query tid arrays and counters); both entry points deduplicate the
+batch once, in :func:`_distinct`. :meth:`BatchExecutor.execute` is the
+result-cache layer over it: hits and in-batch duplicates are served
+from earlier answers, the distinct misses run through ``_run``, and
+:func:`merge_partials` assembles the :class:`BatchResult`.
+:meth:`BatchExecutor.execute_partials` runs ``_run`` on the batch's
+distinct queries with no cache — each shard of a sharded engine calls
+it, and the same :func:`merge_partials` combines the shards.
 
 Every answer set is identical to what :meth:`DualIndexPlanner.query`
 returns sequentially (itself oracle-exact); only the page-access bill
@@ -163,30 +164,19 @@ class BatchExecutor:
                 slopelog.record(query.slope_2d, query.query_type)
         version = self.index.version
         hits0, misses0 = self.cache.hits, self.cache.misses
-        results: list[QueryResult | None] = [None] * len(queries)
-        # The first occurrence of each distinct uncached query executes;
-        # later occurrences are hits on the result being computed.
-        pending: dict[CacheKey, list[int]] = {}
-        misses: list[HalfPlaneQuery] = []
-        for position, query in enumerate(queries):
-            key = cache_key(query)
-            if key in pending:
-                self.cache.hits += 1
-                pending[key].append(position)
-                continue
-            cached = self.cache.get(query, version)
-            if cached is not None:
+        fresh, positions, hits = _distinct(queries, self.cache, version)
+        batch = merge_partials([self._measured_run(fresh, len(queries))])
+        for query, result in zip(fresh, batch.results):
+            self.cache.put(query, result, version)
+        if len(fresh) < len(queries):
+            results: list = [None] * len(queries)
+            for position, cached in hits:
                 results[position] = _clone_cached(cached)
-                continue
-            pending[key] = [position]
-            misses.append(query)
-        batch = merge_partials([self._measured_run(misses, len(queries))])
-        for positions, result in zip(pending.values(), batch.results):
-            self.cache.put(queries[positions[0]], result, version)
-            results[positions[0]] = result
-            for position in positions[1:]:
-                results[position] = _clone_cached(result)
-        batch.results = results  # type: ignore[assignment]
+            for at, result in zip(positions, batch.results):
+                results[at[0]] = result
+                for position in at[1:]:
+                    results[position] = _clone_cached(result)
+            batch.results = results
         batch.cache_hits = self.cache.hits - hits0
         batch.cache_misses = self.cache.misses - misses0
         self._record_metrics(batch)
@@ -207,7 +197,12 @@ class BatchExecutor:
         """
         queries = list(queries)
         _check_2d(queries)
-        out = self._measured_run(queries, len(queries))
+        fresh, positions, _hits = _distinct(queries)
+        out = self._measured_run(fresh, len(queries))
+        if len(fresh) < len(queries):
+            out.spread(positions, len(queries))
+        out.cache_hits = len(queries) - len(fresh)
+        out.cache_misses = len(fresh)
         self._record_metrics(out)
         return out
 
@@ -227,36 +222,23 @@ class BatchExecutor:
         return out
 
     def _run(self, queries: list[HalfPlaneQuery]) -> ShardPartials:
-        """The one code path that answers a batch."""
-        out = ShardPartials.sized(len(queries))
-        # 1. Intra-batch duplicates execute once.
-        pending: dict[CacheKey, list[int]] = {}
-        fresh: list[tuple[int, HalfPlaneQuery]] = []
-        for position, query in enumerate(queries):
-            key = cache_key(query)
-            if key in pending:
-                out.cache_hits += 1
-                pending[key].append(position)
-                continue
-            out.cache_misses += 1
-            pending[key] = [position]
-            fresh.append((position, query))
-
-        # 2. Group the fresh queries by shared work.
+        """The one code path that answers a batch of distinct queries."""
+        out = ShardPartials(len(queries))
+        # 1. Group the queries by shared work.
         exact_groups, vector_groups = group_queries(
-            fresh, self.index.slopes, _slope_tol()
+            list(enumerate(queries)), self.index.slopes, _slope_tol()
         )
         out.exact_groups = len(exact_groups)
         out.vector_groups = len(vector_groups)
 
-        # 3. One merged sweep per exact group.
+        # 2. One merged sweep per exact group.
         sweeps = [self._sweep_group(group) for group in exact_groups]
 
-        # 4. One shared refinement fetch for every boundary candidate of
+        # 3. One shared refinement fetch for every boundary candidate of
         # every exact group, pages pinned while the verify loop runs.
         decoded = self._fetch_boundary(_boundary_union(sweeps), out)
 
-        # 5. Per-query verify, exactly the sequential refinement
+        # 4. Per-query verify, exactly the sequential refinement
         # predicate on exactly the sequential boundary set.
         for leaves, partials in sweeps:
             out.sweep_leaves += leaves
@@ -274,7 +256,7 @@ class BatchExecutor:
                         )
                     )
 
-        # 6. Vectorized path: one dual-surface pass per distinct slope.
+        # 5. Vectorized path: one dual-surface pass per distinct slope.
         for group in vector_groups:
             surface = self._surface()
             for position, query in zip(group.indices, group.queries):
@@ -286,11 +268,6 @@ class BatchExecutor:
                     query.theta,
                 )
                 out.candidates[position] = len(surface)
-
-        # 7. Duplicate positions share the first occurrence's answer.
-        for positions in pending.values():
-            for position in positions[1:]:
-                out.copy_answer(positions[0], position)
         return out
 
     # ------------------------------------------------------------------
@@ -489,22 +466,22 @@ def _combine(parts: Sequence[ShardPartials]) -> ShardPartials:
     def total(name: str) -> int:
         return sum(getattr(p, name) for p in parts)
 
-    return ShardPartials(
-        tids=list(zip(*(p.tids for p in parts))),
-        extras=[_union(extras) for extras in zip(*(p.extras for p in parts))],
-        technique=parts[0].technique,
-        candidates=summed("candidates"),
-        false_hits=summed("false_hits"),
-        accepted_without_refinement=summed("accepted_without_refinement"),
-        refinement_pages_q=summed("refinement_pages_q"),
-        io=sum((p.io for p in parts), IOStats()),
-        cache_hits=total("cache_hits"),
-        cache_misses=total("cache_misses"),
-        exact_groups=total("exact_groups"),
-        vector_groups=total("vector_groups"),
-        sweep_leaves=total("sweep_leaves"),
-        refinement_pages=total("refinement_pages"),
-    )
+    out = ShardPartials()
+    out.tids = list(zip(*(p.tids for p in parts)))
+    out.extras = [_union(extras) for extras in zip(*(p.extras for p in parts))]
+    out.technique = parts[0].technique
+    out.candidates = summed("candidates")
+    out.false_hits = summed("false_hits")
+    out.accepted_without_refinement = summed("accepted_without_refinement")
+    out.refinement_pages_q = summed("refinement_pages_q")
+    out.io = sum((p.io for p in parts), IOStats())
+    out.cache_hits = total("cache_hits")
+    out.cache_misses = total("cache_misses")
+    out.exact_groups = total("exact_groups")
+    out.vector_groups = total("vector_groups")
+    out.sweep_leaves = total("sweep_leaves")
+    out.refinement_pages = total("refinement_pages")
+    return out
 
 
 def _union(extras) -> set[int] | None:
@@ -514,6 +491,40 @@ def _union(extras) -> set[int] | None:
         if extra:
             union = extra if union is None else union | extra
     return union
+
+
+def _distinct(
+    queries: list[HalfPlaneQuery],
+    cache: QueryResultCache | None = None,
+    version: int = 0,
+) -> tuple[list[HalfPlaneQuery], list[list[int]], list[tuple[int, QueryResult]]]:
+    """The batch's one dedup pass.
+
+    Returns ``(fresh, positions, hits)``: the distinct queries to
+    execute in first-occurrence order, the batch positions each one
+    answers (first occurrence first) and ``(position, cached result)``
+    for each query ``cache`` already holds. Later occurrences of a fresh
+    query count as hits on ``cache``.
+    """
+    slots: dict[CacheKey, list[int]] = {}
+    fresh: list[HalfPlaneQuery] = []
+    hits: list[tuple[int, QueryResult]] = []
+    for position, query in enumerate(queries):
+        key = cache_key(query)
+        at = slots.get(key)
+        if at is not None:
+            at.append(position)
+            if cache is not None:
+                cache.hits += 1
+            continue
+        if cache is not None:
+            cached = cache.get(query, version)
+            if cached is not None:
+                hits.append((position, cached))
+                continue
+        slots[key] = [position]
+        fresh.append(query)
+    return fresh, list(slots.values()), hits
 
 
 def _check_2d(queries: Sequence[HalfPlaneQuery]) -> None:

@@ -14,60 +14,60 @@ until a caller reads ``ids``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.storage.stats import IOStats
 
+#: The per-query columns, aligned with the batch's queries.
+_COLUMNS = (
+    "tids", "extras", "technique", "candidates", "false_hits",
+    "accepted_without_refinement", "refinement_pages_q",
+)
 
-@dataclass(slots=True)
+
 class ShardPartials:
     """One pipeline run's answers + accounting for a batch of queries."""
 
-    #: Accepted tuple ids per query: an int64 array (inside
-    #: :func:`~repro.exec.executor.merge_partials`, a tuple of the
-    #: shards' arrays).
-    tids: list[np.ndarray] = field(default_factory=list)
-    #: Refinement-confirmed tids per query (``None`` when none).
-    extras: list[set[int] | None] = field(default_factory=list)
-    #: Technique per query (``"exact"`` or ``"vector"``).
-    technique: list[str] = field(default_factory=list)
-    #: Per-query diagnostics.
-    candidates: list[int] = field(default_factory=list)
-    false_hits: list[int] = field(default_factory=list)
-    accepted_without_refinement: list[int] = field(default_factory=list)
-    refinement_pages_q: list[int] = field(default_factory=list)
-    #: Batch-scope accounting (same meaning as :class:`BatchResult`).
-    io: IOStats = field(default_factory=IOStats)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    exact_groups: int = 0
-    vector_groups: int = 0
-    sweep_leaves: int = 0
-    refinement_pages: int = 0
+    __slots__ = _COLUMNS + (
+        "io", "cache_hits", "cache_misses", "exact_groups",
+        "vector_groups", "sweep_leaves", "refinement_pages",
+    )
 
-    @classmethod
-    def sized(cls, n: int) -> "ShardPartials":
+    def __init__(self, n: int = 0) -> None:
         """Empty answers for ``n`` queries, filled in by the pipeline."""
-        return cls(
-            tids=[None] * n,  # type: ignore[list-item]
-            extras=[None] * n,
-            technique=["exact"] * n,
-            candidates=[0] * n,
-            false_hits=[0] * n,
-            accepted_without_refinement=[0] * n,
-            refinement_pages_q=[0] * n,
-        )
+        #: Accepted tuple ids per query: an int64 array (inside
+        #: :func:`~repro.exec.executor.merge_partials`, a tuple of the
+        #: shards' arrays).
+        self.tids: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+        #: Refinement-confirmed tids per query (``None`` when none).
+        self.extras: list[set[int] | None] = [None] * n
+        #: Technique per query (``"exact"`` or ``"vector"``).
+        self.technique: list[str] = ["exact"] * n
+        #: Per-query diagnostics.
+        self.candidates: list[int] = [0] * n
+        self.false_hits: list[int] = [0] * n
+        self.accepted_without_refinement: list[int] = [0] * n
+        self.refinement_pages_q: list[int] = [0] * n
+        #: Batch-scope accounting (same meaning as :class:`BatchResult`).
+        self.io = IOStats()
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.exact_groups = 0
+        self.vector_groups = 0
+        self.sweep_leaves = 0
+        self.refinement_pages = 0
 
-    def copy_answer(self, source: int, target: int) -> None:
-        """Give query ``target`` query ``source``'s answer (duplicates)."""
-        for column in (
-            self.tids, self.extras, self.technique, self.candidates,
-            self.false_hits, self.accepted_without_refinement,
-            self.refinement_pages_q,
-        ):
-            column[target] = column[source]
+    def spread(self, positions: list[list[int]], n: int) -> None:
+        """Lay the answers out over ``n`` batch positions: answer ``j``
+        becomes the answer of every position in ``positions[j]`` (the
+        in-batch duplicates of one distinct query share it)."""
+        slot = [0] * n
+        for j, at in enumerate(positions):
+            for position in at:
+                slot[position] = j
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            setattr(self, name, [column[j] for j in slot])
 
     @property
     def answers(self) -> int:

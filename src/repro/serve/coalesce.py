@@ -2,9 +2,18 @@
 
 The serving win mirrors the batch executor's own: 64 same-slope EXIST
 queries cost 6 pages executed together versus 302 executed one by one,
-so the front door holds each arriving query for at most ``max_delay``
-seconds hoping to merge it with its neighbours, and flushes early the
-moment ``max_batch`` are waiting.
+so the front door parks arriving queries and flushes them as one batch
+on the first of three triggers:
+
+* **idle** — no batch is in flight and one event-loop pass brought no
+  new submission: everything already sent has been read, so waiting
+  longer only adds latency. Under load the engine is busy, queries
+  park behind the running batch and leave together with the next one;
+* **full** — ``max_batch`` queries are waiting;
+* **deadline** — the oldest parked query has waited ``max_delay``
+  seconds. This is only a ceiling: it bounds how long a steady trickle
+  of submissions (one each pass, so the loop never goes idle) can hold
+  the oldest query.
 
 The deadline logic lives in :class:`BatchBuffer`, a pure structure
 driven by an injected clock so tests can replay pathological arrival
@@ -109,15 +118,28 @@ class BatchBuffer:
         return out
 
 
+#: Event-loop iterations in one "pass": what a frame the selector
+#: already reports readable needs to reach :meth:`Coalescer.submit`. A
+#: task resuming from ``sleep(0)`` runs *before* that iteration's I/O
+#: callbacks, so the frame's read callback runs on the first iteration,
+#: the woken connection task decodes it on the second, the request
+#: task it spawns submits on the third, and the coalescer sees the
+#: submission on the fourth.
+_PASS = 4
+
+
 class Coalescer:
     """Asyncio wrapper: awaitable submit, background flush loop.
 
     ``submit(query)`` parks the query (with a fresh Future) in a
-    :class:`BatchBuffer` and wakes the flush loop; the loop sleeps until
-    the buffer's deadline (or a wake-up), takes an oldest-first batch,
-    hands it to ``execute`` — an async callable mapping a list of
-    queries to a list of results — and resolves each Future. Failures
-    propagate to every waiter in the failed batch, never beyond it.
+    :class:`BatchBuffer` and wakes the flush loop. Between batches the
+    loop yields to the event loop so frames already readable reach
+    ``submit``, and flushes once a whole pass adds no submission, the
+    buffer is full, or the oldest query's deadline passed. It takes an
+    oldest-first batch, hands it to ``execute`` — an async callable
+    mapping a list of queries to a list of results — and resolves each
+    Future. Failures propagate to every waiter in the failed batch,
+    never beyond it.
     """
 
     def __init__(
@@ -130,8 +152,8 @@ class Coalescer:
     ) -> None:
         self._execute = execute
         self._buffer = BatchBuffer(max_batch, max_delay, clock)
-        self._clock = clock
         self._on_flush = on_flush
+        #: Set by every submit (and by close): "something arrived".
         self._wake = asyncio.Event()
         self._closed = False
         self._task: asyncio.Task | None = None
@@ -157,28 +179,16 @@ class Coalescer:
         return await future
 
     async def _run(self) -> None:
+        # Each iteration runs between batches: the engine is idle.
         while True:
-            if self._closed and not len(self._buffer):
-                return
-            deadline = self._buffer.deadline()
-            if deadline is None:
+            if not len(self._buffer):
                 if self._closed:
                     return
-                await self._wake.wait()
                 self._wake.clear()
+                await self._wake.wait()
                 continue
-            if not self._buffer.due():
-                delay = max(0.0, deadline - self._clock())
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay)
-                    self._wake.clear()
-                except asyncio.TimeoutError:
-                    pass
-                if not self._buffer.due() and not self._closed:
-                    continue
+            await self._settle()
             batch = self._buffer.take()
-            if not batch:
-                continue
             queries = [query for query, _ in batch]
             futures = [future for _, future in batch]
             if self._on_flush is not None:
@@ -197,6 +207,15 @@ class Coalescer:
             for future, result in zip(futures, results):
                 if not future.done():
                     future.set_result(result)
+
+    async def _settle(self) -> None:
+        """Yield to the event loop until ``_PASS`` iterations in a row
+        bring no submission, the buffer is due, or close was called."""
+        quiet = 0
+        while quiet < _PASS and not self._closed and not self._buffer.due():
+            self._wake.clear()
+            await asyncio.sleep(0)
+            quiet = 0 if self._wake.is_set() else quiet + 1
 
     async def close(self) -> None:
         """Flush whatever is pending, then stop the loop."""

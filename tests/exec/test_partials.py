@@ -123,6 +123,8 @@ class TestShardedBatch:
         )
         try:
             batch = engine.query_batch(queries)
+            # One result per position, the in-batch duplicate included.
+            assert len(batch.results) == len(queries)
             for q, res in zip(queries, batch.results):
                 assert res.ids == planner.query(q).ids, q
         finally:

@@ -8,11 +8,16 @@ trickle can delay it by at most one ``max_delay``.
 """
 
 import asyncio
+import socket
 import time
 
 import pytest
 
-from repro.serve.coalesce import BatchBuffer, Coalescer
+from repro.bench.harness import dual_planner, queries_for
+from repro.obs.metrics import get_registry
+from repro.serve.coalesce import _PASS, BatchBuffer, Coalescer
+from repro.serve.protocol import FrameDecoder, encode_frame, query_to_request
+from repro.serve.testing import ServerThread
 
 
 class FakeClock:
@@ -123,7 +128,8 @@ def test_full_batch_flushes_before_deadline():
         return queries
 
     async def scenario():
-        # max_delay is an hour: only the size trigger can flush.
+        # max_delay is an hour, so the deadline cannot flush; the four
+        # submits arrive in one loop pass and the size trigger fires.
         coalescer = Coalescer(execute, max_batch=4, max_delay=3600.0)
         coalescer.start()
         started = time.monotonic()
@@ -208,3 +214,209 @@ def test_live_trickle_does_not_starve_first_submit():
     # Deadline is 50ms; generous CI allowance, but far below the 300ms
     # a deadline-resetting buffer would take.
     assert asyncio.run(scenario()) < 0.25
+
+
+# ----------------------------------------------------------------------
+# Idle trigger
+# ----------------------------------------------------------------------
+def test_lone_submit_resolves_within_a_few_loop_passes():
+    """With the deadline an hour away, only the idle trigger can flush
+    a single query: it must leave after one quiet pass, not at the
+    deadline."""
+    async def execute(queries):
+        return queries
+
+    async def scenario():
+        coalescer = Coalescer(execute, max_batch=64, max_delay=3600.0)
+        coalescer.start()
+        submitted = asyncio.get_running_loop().create_task(
+            coalescer.submit("alone"))
+        ticks = 0  # event-loop iterations until the query resolves
+        while not submitted.done() and ticks < 1000:
+            await asyncio.sleep(0)
+            ticks += 1
+        result = await asyncio.wait_for(submitted, timeout=1)
+        await asyncio.wait_for(coalescer.close(), timeout=5)
+        return result, ticks
+
+    result, ticks = asyncio.run(scenario())
+    assert result == "alone"
+    assert ticks <= 3 * _PASS
+
+
+def test_submits_during_an_inflight_batch_leave_in_one_batch():
+    """Under load the engine is busy: queries that arrive while a batch
+    runs park, and all of them leave together in the next batch."""
+    calls = []
+
+    async def scenario():
+        release = asyncio.Event()
+
+        async def execute(queries):
+            calls.append(list(queries))
+            if len(calls) == 1:
+                await release.wait()
+            return queries
+
+        coalescer = Coalescer(execute, max_batch=64, max_delay=3600.0)
+        coalescer.start()
+        loop = asyncio.get_running_loop()
+        first = loop.create_task(coalescer.submit("first"))
+        for _ in range(1000):
+            if calls:
+                break
+            await asyncio.sleep(0)
+        assert calls, "a lone submit never reached execute"
+        late = []
+        for n in range(5):  # one per pass, all while execute blocks
+            late.append(loop.create_task(coalescer.submit(n)))
+            for _ in range(_PASS + 1):
+                await asyncio.sleep(0)
+        release.set()
+        await asyncio.wait_for(asyncio.gather(first, *late), timeout=5)
+        await asyncio.wait_for(coalescer.close(), timeout=5)
+
+    asyncio.run(scenario())
+    assert calls == [["first"], [0, 1, 2, 3, 4]]
+
+
+def test_submit_every_pass_cannot_hold_oldest_past_max_delay():
+    """A trickle that submits on every event-loop iteration never lets
+    a pass go quiet, so the idle trigger never fires; the oldest-first
+    deadline must still flush the first query on time."""
+    executed_at = {}
+
+    async def execute(queries):
+        now = time.monotonic()
+        for q in queries:
+            executed_at.setdefault(q, now)
+        return queries
+
+    async def scenario():
+        coalescer = Coalescer(execute, max_batch=10**6, max_delay=0.02)
+        coalescer.start()
+        loop = asyncio.get_running_loop()
+        started = time.monotonic()
+        first = loop.create_task(coalescer.submit("first"))
+        trickle = []
+        while not first.done() and time.monotonic() - started < 2.0:
+            trickle.append(loop.create_task(coalescer.submit(len(trickle))))
+            await asyncio.sleep(0)
+        still_trickling = not first.done() or bool(trickle)
+        await first
+        await asyncio.gather(*trickle)
+        await coalescer.close()
+        return executed_at["first"] - started, still_trickling
+
+    waited, still_trickling = asyncio.run(scenario())
+    assert still_trickling
+    # Deadline is 20 ms; generous CI allowance, far below the 2 s the
+    # trickle would otherwise run for.
+    assert waited < 0.25
+
+
+def test_sleep_zero_resumes_before_that_iterations_io_callbacks():
+    """The asyncio detail ``_PASS`` is built on: a task resuming from
+    ``sleep(0)`` runs before the I/O callbacks of the iteration it
+    resumes in, so a readable socket's callback has not run after one
+    yield, only after the second."""
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        left, right = socket.socketpair()
+        fired = []
+        try:
+            right.sendall(b"x")  # `left` is readable from now on
+            loop.add_reader(left.fileno(), fired.append, "read")
+            await asyncio.sleep(0)
+            after_one = list(fired)
+            await asyncio.sleep(0)
+            after_two = list(fired)
+        finally:
+            loop.remove_reader(left.fileno())
+            left.close()
+            right.close()
+        return after_one, after_two
+
+    assert asyncio.run(scenario()) == ([], ["read"])
+
+
+def test_already_readable_frame_reaches_submit_within_one_pass():
+    """A frame written while the coalescer settles must join the batch:
+    its read callback, the connection task's decode and the request
+    task's submit take one event-loop iteration each, so the submit
+    lands before a task yielding ``_PASS`` times resumes the last time.
+    The handler mirrors the server's: read, then a task per request."""
+    calls = []
+
+    async def execute(queries):
+        calls.append(list(queries))
+        return queries
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        coalescer = Coalescer(execute, max_batch=64, max_delay=3600.0)
+        coalescer.start()
+        connected = asyncio.Event()
+        yields = 0
+        parked_at = []
+        answers = []
+
+        async def request(name):
+            parked_at.append(yields)
+            return await coalescer.submit(name)
+
+        async def handle(reader, writer):
+            connected.set()
+            line = await reader.readline()
+            answers.append(loop.create_task(request(line.strip().decode())))
+            await reader.read()
+            writer.close()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        _reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        await connected.wait()
+        for _ in range(_PASS):  # let the handler park in readline
+            await asyncio.sleep(0)
+        writer.write(b"frame\n")  # straight to the socket
+        direct = loop.create_task(coalescer.submit("direct"))
+        while not parked_at and yields < 100:
+            await asyncio.sleep(0)
+            yields += 1
+        await asyncio.wait_for(asyncio.gather(direct, *answers), timeout=5)
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        await coalescer.close()
+        return parked_at
+
+    assert asyncio.run(scenario())[0] < _PASS
+    assert calls == [["direct", "frame"]]
+
+
+def test_pipelined_frames_share_one_served_batch():
+    """Two query frames sent in one ``sendall`` reach the server in one
+    read, so they leave the coalescer as one batch: the
+    ``serve_batch_size`` histogram gains one observation of 2."""
+    planner = dual_planner(200, "small", 3)
+    queries = queries_for(200, "small", "EXIST", 3, count=2)
+
+    def batch_size():
+        summary = get_registry().collect()["histograms"]["serve_batch_size"]
+        return summary["count"], summary["total"]
+
+    with ServerThread(engine=planner, max_delay=3600.0) as server:
+        count0, sum0 = batch_size()
+        with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b"".join(
+                encode_frame(query_to_request(q, rid))
+                for rid, q in enumerate(queries)))
+            decoder = FrameDecoder()
+            responses = []
+            while len(responses) < 2:
+                responses += decoder.feed(sock.recv(65536))
+        count, total = batch_size()
+        assert (count - count0, total - sum0) == (1, 2)
+    assert sorted(r["id"] for r in responses) == [0, 1]
+    assert all(r["ok"] for r in responses)
