@@ -7,18 +7,12 @@ summaries). Only numeric scalars are compared; histograms and nested
 sections other than ``counters`` are informational and skipped.
 
 The diff reports every changed counter and *gates* on regressions.
-What counts as a regression depends on ``--mode``:
-
-* ``ceiling`` (default) — counters are costs (page accesses, false
-  hits): current exceeding baseline × (1 + threshold) fails;
-* ``floor`` — counters are throughput (the ``BENCH_vector.json`` QPS
-  gate): current falling below baseline × (1 - threshold) fails.
-
-Either way a baseline counter missing from the current run fails (the
-workload silently shrank), and new counters are listed but never fail —
-adding instrumentation must not break CI. Exit code 1 on any
-regression, so the CI perf-smoke job tracks the perf trajectory per-PR
-instead of re-pinning blind.
+Counters are costs (page accesses, false hits): current exceeding
+baseline × (1 + threshold) fails, and so does a baseline counter
+missing from the current run (the workload silently shrank). New
+counters are listed but never fail — adding instrumentation must not
+break CI. Exit code 1 on any regression, so the CI perf-smoke job
+tracks the page-count trajectory per-PR instead of re-pinning blind.
 """
 
 from __future__ import annotations
@@ -48,18 +42,13 @@ def diff_counters(
     baseline: dict[str, float],
     current: dict[str, float],
     threshold: float = 0.0,
-    mode: str = "ceiling",
 ) -> tuple[list[str], list[str]]:
     """``(report_lines, regressions)`` for two counter maps.
 
-    ``threshold`` is a fractional allowance: with ``mode="ceiling"``,
-    0.05 tolerates a 5% rise above baseline before calling it a
-    regression; with ``mode="floor"`` the counters are
-    higher-is-better and 0.05 tolerates a 5% *fall*. Improvements and
+    ``threshold`` is a fractional allowance: 0.05 tolerates a 5% rise
+    above baseline before calling it a regression. Improvements and
     within-threshold changes are reported but never gate.
     """
-    if mode not in ("ceiling", "floor"):
-        raise ValueError(f"mode must be 'ceiling' or 'floor', got {mode!r}")
     report: list[str] = []
     regressions: list[str] = []
     for key in sorted(baseline.keys() | current.keys()):
@@ -80,11 +69,7 @@ def diff_counters(
                 + ")"
             )
             report.append(line)
-            if mode == "floor":
-                regressed = cur < base * (1.0 - threshold)
-            else:
-                regressed = cur > base * (1.0 + threshold)
-            if regressed:
+            if cur > base * (1.0 + threshold):
                 regressions.append(line)
     return report, regressions
 
@@ -103,11 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fractional regression allowance per counter "
              "(default 0 = any move past baseline fails)",
     )
-    parser.add_argument(
-        "--mode", choices=["ceiling", "floor"], default="ceiling",
-        help="ceiling: counters are costs, rises fail (default); "
-             "floor: counters are throughput, falls fail",
-    )
     args = parser.parse_args(argv)
     try:
         baseline = load_counters(args.baseline)
@@ -116,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench-diff: {exc}", file=sys.stderr)
         return 2
     report, regressions = diff_counters(
-        baseline, current, threshold=args.threshold, mode=args.mode
+        baseline, current, threshold=args.threshold
     )
     unchanged = len(baseline.keys() & current.keys()) - sum(
         1 for line in report if "->" in line and "MISSING" not in line

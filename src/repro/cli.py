@@ -34,12 +34,10 @@ Commands
     (includes the batch executor's ``exec_*`` cache counters and, with
     ``--shards``, the merged ``shard=i`` fleet series). ``--format
     prom`` emits Prometheus text exposition instead of JSON.
-``bench-diff BASELINE CURRENT [--threshold F --mode ceiling|floor]``
+``bench-diff BASELINE CURRENT [--threshold F]``
     Per-counter delta report between two bench/smoke JSON artifacts;
-    exits non-zero when a counter regresses beyond the threshold.
-    ``--mode floor`` inverts the gate for throughput counters
-    (falling below baseline fails) — the CI QPS-floor leg runs it
-    against ``benchmarks/baselines/qps.json``.
+    exits non-zero when a counter rises beyond the threshold — the CI
+    page-count gate runs it against ``benchmarks/baselines/smoke.json``.
 ``overhead [--budget F --repeats N]``
     Measure traced vs untraced query wall time (best-of-N) and fail
     when tracing exceeds the fractional budget.
@@ -47,16 +45,6 @@ Commands
     The CI perf-smoke gate (see :mod:`repro.bench.smoke`). The baseline
     lives at ``benchmarks/baselines/smoke.json`` relative to the
     repository root; ``--baseline PATH`` overrides the convention.
-``shard-bench [--out FILE --n N --size small|medium --k K --repeats R]``
-    Sharded query-side QPS (1/2/4 shards, wall + critical-path span)
-    benchmark on the fig9-medium workload; writes ``BENCH_shard.json``
-    and fails unless 4-shard critical-path QPS beats 1-shard
-    (see :mod:`repro.bench.shard_bench`).
-``vector-bench [--out FILE --n N --size small|medium --k K --repeats R]``
-    Columnar batch throughput on the fig9-medium slope-group fan;
-    checks every answer against the exact oracle, writes
-    ``BENCH_vector.json`` whose ``counters`` section feeds the CI
-    QPS-floor gate (see :mod:`repro.bench.vector_bench`).
 ``tune --data-dir DIR (--queries FILE | --slope-log FILE) [--k K --apply --out DIR]``
     Adaptive slope-set tuning (:mod:`repro.tune`): learn a slope set
     from observed query slopes (a query file, or a slope-log snapshot
@@ -66,12 +54,6 @@ Commands
     data directory ``--out`` (the source directory is untouched —
     rollback is keeping the old path). Answers are preserved
     bit-exactly; only page counts change.
-``tune-bench [--out FILE --n N --size small|medium --k K --seed S --queries Q --repeats R]``
-    Fixed-``S`` vs learned-``S`` ablation on fig9-medium under skewed
-    and uniform slope traffic; asserts bit-identical answers, writes
-    ``BENCH_tune.json`` whose ``counters`` feed the CI floor gate
-    against ``benchmarks/baselines/tune.json``
-    (see :mod:`repro.bench.tune_bench`).
 ``fuzz [--seed N --budget 30s --out DIR --replay FILE --fault-demo]``
     Differential fuzzing (:mod:`repro.verify`): cross-check every query
     path against the geometric and LP oracles on randomized +
@@ -342,62 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
              "answers must match the live engine",
     )
 
-    shard_bench = sub.add_parser(
-        "shard-bench",
-        help="sharded-QPS benchmark (BENCH_shard.json)",
-        description=(
-            "Benchmark the sharded dual-transform engine on the "
-            "fig9-medium workload: batch query throughput at 1/2/4 "
-            "shards with a correctness check against the unsharded "
-            "planner. Writes BENCH_shard.json."
-        ),
-    )
-    shard_bench.add_argument(
-        "--out", default=None,
-        help="where to write the JSON payload (default BENCH_shard.json)",
-    )
-    shard_bench.add_argument("--n", type=int, default=None,
-                             help="relation size (default 2000)")
-    shard_bench.add_argument("--size", default=None,
-                             choices=["small", "medium"])
-    shard_bench.add_argument("--k", type=int, default=None,
-                             help="slope count (default 3)")
-    shard_bench.add_argument("--seed", type=int, default=None,
-                             help="workload seed")
-    shard_bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="best-of timing repeats of the query leg (never fewer "
-             "than 3; default 2)",
-    )
-
-    vector_bench = sub.add_parser(
-        "vector-bench",
-        help="columnar batch QPS benchmark (BENCH_vector.json)",
-        description=(
-            "Benchmark the columnar B+-tree hot path on the fig9-medium "
-            "slope-group fan batch. Every answer is checked against the "
-            "exact oracle (exit 1 on divergence). Writes BENCH_vector.json; "
-            "its counters section feeds `repro bench-diff --mode floor` "
-            "in the CI QPS gate."
-        ),
-    )
-    vector_bench.add_argument(
-        "--out", default=None,
-        help="where to write the JSON payload (default BENCH_vector.json)",
-    )
-    vector_bench.add_argument("--n", type=int, default=None,
-                              help="relation size (default 2000)")
-    vector_bench.add_argument("--size", default=None,
-                              choices=["small", "medium"])
-    vector_bench.add_argument("--k", type=int, default=None,
-                              help="slope count (default 3)")
-    vector_bench.add_argument("--seed", type=int, default=None,
-                              help="workload seed")
-    vector_bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timed attempts (best-of; default 5)",
-    )
-
     bench_diff = sub.add_parser(
         "bench-diff",
         help="diff two bench/smoke JSON artifacts, gate on regressions",
@@ -414,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_diff.add_argument(
         "--threshold", type=float, default=0.0,
         help="fractional regression allowance (default 0)",
-    )
-    bench_diff.add_argument(
-        "--mode", choices=["ceiling", "floor"], default="ceiling",
-        help="ceiling: rises fail (costs, default); floor: falls fail "
-             "(throughput)",
     )
 
     overhead = sub.add_parser(
@@ -814,58 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the report as JSON",
     )
 
-    tune_bench = sub.add_parser(
-        "tune-bench",
-        help="fixed-S vs learned-S ablation benchmark (BENCH_tune.json)",
-        description=(
-            "Answer skewed and uniform slope traffic on the fig9-medium "
-            "relation with both the build-time slope set and one learned "
-            "from that traffic's slope log; report page accesses, T1/T2 "
-            "false hits and batch QPS per cell. Its counters section "
-            "feeds `repro bench-diff --mode floor` against "
-            "benchmarks/baselines/tune.json."
-        ),
-    )
-    tune_bench.add_argument(
-        "--out", default=None, help="write the JSON artifact here")
-    tune_bench.add_argument("--n", type=int, default=None,
-                            help="relation size (default 2000)")
-    tune_bench.add_argument("--size", default=None,
-                            choices=["small", "medium"])
-    tune_bench.add_argument("--k", type=int, default=None,
-                            help="slope-set size (default 3)")
-    tune_bench.add_argument("--seed", type=int, default=None)
-    tune_bench.add_argument("--queries", type=int, default=None,
-                            help="queries per family (default 240)")
-    tune_bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing repeats, best-of (default 3)")
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="end-to-end serve benchmark: build, save, serve, loadgen",
-        description=(
-            "Build the fig9-medium engine, save it to a temporary data "
-            "directory, stand up an in-process server, run a "
-            "closed-loop loadgen against it, and emit BENCH_serve.json "
-            "(gated in CI via `repro bench-diff --mode floor` against "
-            "benchmarks/baselines/serve.json)."
-        ),
-    )
-    serve_bench.add_argument(
-        "--out", default=None, help="write the metrics JSON here")
-    serve_bench.add_argument(
-        "--requests", type=int, default=2000,
-        help="measured closed-loop requests (default 2000)",
-    )
-    serve_bench.add_argument(
-        "--concurrency", type=int, default=16,
-        help="closed-loop connections (default 16)",
-    )
-    serve_bench.add_argument(
-        "--p99-budget-ms", type=float, default=250.0,
-        help="fail if closed-loop p99 exceeds this (default 250 ms)",
-    )
     return parser
 
 
@@ -892,7 +761,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return diff.main(
             [args.baseline, args.current, "--threshold",
-             str(args.threshold), "--mode", args.mode]
+             str(args.threshold)]
         )
     if args.command == "overhead":
         from repro.bench import overhead
@@ -907,14 +776,8 @@ def main(argv: list[str] | None = None) -> int:
         return overhead.main(forwarded)
     if args.command == "smoke":
         return _smoke(args)
-    if args.command == "shard-bench":
-        return _shard_bench(args)
-    if args.command == "vector-bench":
-        return _vector_bench(args)
     if args.command == "tune":
         return _tune(args)
-    if args.command == "tune-bench":
-        return _tune_bench(args)
     if args.command == "fuzz":
         return _fuzz(args)
     if args.command == "save":
@@ -929,15 +792,6 @@ def main(argv: list[str] | None = None) -> int:
         return _slowlog(args)
     if args.command == "top":
         return _top(args)
-    if args.command == "serve-bench":
-        from repro.bench import serve_bench
-
-        return serve_bench.main(
-            ["--requests", str(args.requests),
-             "--concurrency", str(args.concurrency),
-             "--p99-budget-ms", str(args.p99_budget_ms)]
-            + (["--out", args.out] if args.out else [])
-        )
     return 2  # pragma: no cover - argparse enforces choices
 
 
@@ -1473,44 +1327,6 @@ def _open(args) -> int:
     return 0
 
 
-def _shard_bench(args) -> int:
-    from repro.bench import shard_bench
-
-    argv: list[str] = []
-    if args.out:
-        argv += ["--out", args.out]
-    if args.n is not None:
-        argv += ["--n", str(args.n)]
-    if args.size is not None:
-        argv += ["--size", args.size]
-    if args.k is not None:
-        argv += ["--k", str(args.k)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.repeats is not None:
-        argv += ["--repeats", str(args.repeats)]
-    return shard_bench.main(argv)
-
-
-def _vector_bench(args) -> int:
-    from repro.bench import vector_bench
-
-    argv: list[str] = []
-    if args.out:
-        argv += ["--out", args.out]
-    if args.n is not None:
-        argv += ["--n", str(args.n)]
-    if args.size is not None:
-        argv += ["--size", args.size]
-    if args.k is not None:
-        argv += ["--k", str(args.k)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.repeats is not None:
-        argv += ["--repeats", str(args.repeats)]
-    return vector_bench.main(argv)
-
-
 def _tune(args) -> int:
     import json
 
@@ -1562,27 +1378,6 @@ def _tune(args) -> int:
     elif decision.worthwhile:
         print("run again with --apply --out DIR to rebuild")
     return 0
-
-
-def _tune_bench(args) -> int:
-    from repro.bench import tune_bench
-
-    argv = []
-    if args.out is not None:
-        argv += ["--out", args.out]
-    if args.n is not None:
-        argv += ["--n", str(args.n)]
-    if args.size is not None:
-        argv += ["--size", args.size]
-    if args.k is not None:
-        argv += ["--k", str(args.k)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.queries is not None:
-        argv += ["--queries", str(args.queries)]
-    if args.repeats is not None:
-        argv += ["--repeats", str(args.repeats)]
-    return tune_bench.main(argv)
 
 
 def _serve(args) -> int:  # pragma: no cover - run-forever loop (CI leg)

@@ -29,7 +29,7 @@ from repro.core.approx_t1 import t1_candidates
 from repro.core.approx_t2 import t2_candidates
 from repro.core.dual_index import DualIndex
 from repro.core.query import ALL, EXIST, HalfPlaneQuery, QueryResult
-from repro.core.slope_set import SlopeSet
+from repro.core.slope_set import SLOPE_TOL, SlopeSet
 from repro.errors import QueryError
 from repro.obs import slopelog
 from repro.obs import trace as obs
@@ -38,10 +38,6 @@ from repro.geometry.predicates import all_halfplane, exist_halfplane
 from repro.storage.heap import HeapFile, unpack_rid
 from repro.storage.pager import Pager
 from repro.storage.serialize import KeyCodec
-
-#: Slope-set membership tolerance: query slopes this close to a slope in
-#: S take the exact path.
-SLOPE_TOL = 1e-12
 
 
 class DualIndexPlanner:

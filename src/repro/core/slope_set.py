@@ -31,6 +31,11 @@ from typing import Iterable
 from repro.constraints.theta import Theta
 from repro.errors import SlopeSetError
 
+#: Slope-set membership tolerance: query slopes within this distance of a
+#: slope in S take the exact path (pass it as :meth:`SlopeSet.index_of`'s
+#: ``tol``).
+SLOPE_TOL = 1e-12
+
 
 class SlopeCase(enum.Enum):
     """Where a query slope falls relative to ``S``."""

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.constraints.tuples import GeneralizedTuple
 from repro.core.query import ALL, HalfPlaneQuery, QueryResult
+from repro.core.slope_set import SLOPE_TOL
 from repro.errors import QueryError
 from repro.exec.cache import CacheKey, QueryResultCache, cache_key
 from repro.exec.grouping import ExactGroup, group_queries
@@ -226,7 +227,7 @@ class BatchExecutor:
         out = ShardPartials(len(queries))
         # 1. Group the queries by shared work.
         exact_groups, vector_groups = group_queries(
-            list(enumerate(queries)), self.index.slopes, _slope_tol()
+            list(enumerate(queries)), self.index.slopes, SLOPE_TOL
         )
         out.exact_groups = len(exact_groups)
         out.vector_groups = len(vector_groups)
@@ -548,12 +549,6 @@ def _clone_cached(result: QueryResult) -> QueryResult:
         refinement_pages=result.refinement_pages,
         cached=True,
     )
-
-
-def _slope_tol() -> float:
-    from repro.core.planner import SLOPE_TOL
-
-    return SLOPE_TOL
 
 
 def _trace_meta() -> dict:

@@ -4,7 +4,7 @@ Two standard load models:
 
 - **closed loop** — ``concurrency`` connections, each issuing its next
   query only after the previous answer arrives. Throughput is
-  latency-bound; this is the model CI pins (`BENCH_serve.json`).
+  latency-bound; this is the model CI gates (`BENCH_loadgen.json`).
 - **open loop** — queries fired at a fixed ``rate`` regardless of
   completions, over a pipelined connection pool. This is the model
   that actually exercises admission control: when the server can't
@@ -12,12 +12,11 @@ Two standard load models:
   (counted, not failed) are the expected outcome.
 
 The report is plain JSON: request counts, elapsed wall time, QPS,
-p50/p90/p99/p99.9 latency — the shape ``repro bench-diff --mode
-floor`` gates on — a per-op breakdown table (latency quantiles and,
-when the server runs with tracing on, the server-attributed pages per
-query), plus a per-op slope histogram of the issued traffic
-(:func:`slope_summary`), the client-side view of the slope
-distribution the server's own slope log sees. Comparing the two is the
+p50/p90/p99/p99.9 latency, error counts, a per-op breakdown table
+(latency quantiles and, when the server runs with tracing on, the
+server-attributed pages per query), plus a per-op slope histogram of
+the issued traffic (:func:`slope_summary`), the client-side view of the
+slope distribution the server's own slope log sees. Comparing the two is the
 quick sanity check that a ``repro tune`` decision was driven by the
 traffic you think you sent.
 

@@ -11,7 +11,8 @@ price, and requiring no rebuild.
 
 The model deliberately reports a dimensionless ratio rather than page
 counts: the constant linking angle distance to pages depends on the
-data distribution, and ``repro tune-bench`` measures that empirically.
+data distribution; ``tests/tune/test_learned_slopes_fig9.py``
+measures it on fig9-medium.
 Slopes within ``SLOPE_TOL`` of a member take the exact path (zero
 extra sweep), which the expectation captures as a distance of 0.
 """

@@ -78,48 +78,6 @@ class TestDiffCounters:
         assert "%" not in report[0]
 
 
-class TestFloorMode:
-    """--mode floor: counters are throughput, falls (not rises) gate."""
-
-    def test_fall_regresses_at_zero_threshold(self):
-        _, regressions = diff_counters(
-            {"qps": 100.0}, {"qps": 99.0}, mode="floor"
-        )
-        assert len(regressions) == 1
-
-    def test_rise_never_gates(self):
-        report, regressions = diff_counters(
-            {"qps": 100.0}, {"qps": 150.0}, mode="floor"
-        )
-        assert len(report) == 1 and regressions == []
-
-    def test_threshold_tolerates_small_fall(self):
-        _, regressions = diff_counters(
-            {"qps": 100.0}, {"qps": 81.0}, threshold=0.20, mode="floor"
-        )
-        assert regressions == []
-        _, regressions = diff_counters(
-            {"qps": 100.0}, {"qps": 79.0}, threshold=0.20, mode="floor"
-        )
-        assert len(regressions) == 1
-
-    def test_missing_baseline_counter_still_regresses(self):
-        _, regressions = diff_counters({"qps": 100.0}, {}, mode="floor")
-        assert len(regressions) == 1
-        assert "MISSING" in regressions[0]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            diff_counters({}, {}, mode="sideways")
-
-    def test_mode_flag_wires_through(self, tmp_path):
-        base = write_json(tmp_path / "base.json", {"qps": 100})
-        cur = write_json(tmp_path / "cur.json", {"qps": 90})
-        assert main([base, cur]) == 0  # ceiling: a fall is fine
-        assert main([base, cur, "--mode", "floor"]) == 1
-        assert main([base, cur, "--mode", "floor", "--threshold", "0.2"]) == 0
-
-
 class TestMainExitCodes:
     def test_clean_run_exits_zero(self, tmp_path, capsys):
         base = write_json(tmp_path / "base.json", {"counters": {"a": 1}})

@@ -98,6 +98,29 @@ def scalar_refine(heap, query, rids):
     return confirmed, false_hits, pages
 
 
+def fan_batch(k: int, width: int = 20) -> list:
+    """The slope-group fan: ``k × width × 4`` exact-path queries.
+
+    For each slope of ``SlopeSet.uniform_angles(k)``, ``width``
+    intercepts × {EXIST, ALL} × {>=, <=}, so the batch groups into one
+    merged sweep per (slope, direction, type). Intercepts sweep the
+    populated key range so answer sets span empty to nearly-everything;
+    the per-slope offset keeps fans on different slopes from quantizing
+    to identical key sets.
+    """
+    from repro.core import ALL, EXIST, HalfPlaneQuery, SlopeSet
+
+    queries = []
+    for i, slope in enumerate(SlopeSet.uniform_angles(k)):
+        for j in range(width):
+            intercept = -40.0 + 80.0 * j / max(width - 1, 1) + 0.37 * i
+            queries.append(HalfPlaneQuery(EXIST, slope, intercept, ">="))
+            queries.append(HalfPlaneQuery(EXIST, slope, -intercept, "<="))
+            queries.append(HalfPlaneQuery(ALL, slope, intercept, ">="))
+            queries.append(HalfPlaneQuery(ALL, slope, -intercept, "<="))
+    return queries
+
+
 def surface_values(tuples, slope: float, per_side: int = 3) -> list[float]:
     """The first ``per_side`` finite ``TOP(s)`` and ``BOT(s)`` values of
     ``tuples`` — intercepts that lie exactly on a candidate's surface."""

@@ -16,12 +16,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.bench.vector_bench import fan_batch
 from repro.core import ALL, EXIST, DualIndexPlanner, HalfPlaneQuery, SlopeSet
 from repro.core.query import QueryResult
 from repro.exec import BatchExecutor
 from repro.shard import ShardedDualIndex
 from repro.workloads import make_relation
+from tests.conftest import fan_batch
 
 
 @pytest.fixture(scope="module")

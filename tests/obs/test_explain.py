@@ -13,6 +13,7 @@ from repro.obs.explain import (
 )
 from repro.obs.trace import Span
 from repro.workloads import make_relation
+from tests.conftest import fan_batch
 
 QUERIES = [
     HalfPlaneQuery(EXIST, 0.5, 2.0, ">="),
@@ -48,8 +49,6 @@ class TestBatchAttribution:
             make_relation(120, "small", seed=11),
             SlopeSet.uniform_angles(3),
         )
-        from repro.bench.vector_bench import fan_batch
-
         report = explain(planner, fan_batch(3, width=2), batch=True)
         assert sum(report.phase_pages.values()) == report.total_pages
         assert report.total_pages > 0

@@ -1,4 +1,4 @@
-"""CLI surface of the serving layer: loadgen and serve-bench."""
+"""CLI surface of the serving layer: loadgen."""
 
 import json
 
@@ -54,30 +54,3 @@ def test_loadgen_connection_refused_is_an_error(capsys):
             "loadgen", "--port", "1", "--workload", "smoke",
             "--requests", "4",
         ])
-
-
-def test_serve_bench_smoke(tmp_path, capsys):
-    from repro.bench import serve_bench
-
-    out = tmp_path / "BENCH_serve.json"
-    code = serve_bench.main([
-        "--out", str(out), "--requests", "80", "--concurrency", "4",
-        "--p99-budget-ms", "60000",
-    ])
-    assert code == 0
-    artifact = json.loads(out.read_text())
-    assert artifact["mismatched_answers"] == 0
-    assert artifact["counters"]["serve_qps_closed"] > 0
-    assert artifact["report"]["errors"] == 0
-
-
-def test_serve_bench_p99_budget_enforced(tmp_path, capsys):
-    from repro.bench import serve_bench
-
-    out = tmp_path / "BENCH_serve.json"
-    code = serve_bench.main([
-        "--out", str(out), "--requests", "40", "--concurrency", "4",
-        "--p99-budget-ms", "0.000001",
-    ])
-    assert code == 1
-    assert "budget" in capsys.readouterr().err.lower()

@@ -9,13 +9,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import DualIndex, DualIndexPlanner, HalfPlaneQuery, SlopeSet
+from repro.bench import harness
+from repro.core import (
+    ALL,
+    EXIST,
+    DualIndex,
+    DualIndexPlanner,
+    HalfPlaneQuery,
+    SlopeSet,
+)
 from repro.errors import IndexError_
 from repro.geometry.predicates import evaluate_relation
 from repro.geometry.vectorized import DualSurface
 from repro.shard import ShardedDualIndex, shard_of
 from repro.workloads import make_relation
-from tests.conftest import random_bounded_tuple, random_mixed_relation
+from tests.conftest import (
+    fan_batch,
+    random_bounded_tuple,
+    random_mixed_relation,
+)
 
 SLOPES = SlopeSet([-2.0, -0.5, 0.5, 2.0])
 
@@ -95,6 +107,48 @@ def test_query_batch_matches_per_query_fanout():
             assert result.ids == engine.query(query).ids
     finally:
         engine.close()
+
+
+#: Page accesses of the fig9-medium fan + mixed batch per shard count.
+#: More shards read more pages: each shard descends its own forest.
+FIG9_SHARD_PAGES = {1: 165, 2: 183, 4: 232}
+
+
+def _fig9_fan_and_mixed_batch() -> list[HalfPlaneQuery]:
+    """The 240-query fan plus a mixed batch: six selectivity-calibrated
+    interior-slope queries per selection type (the vector technique)
+    and two exact-slope queries per predefined slope."""
+    queries = fan_batch(3)
+    for qtype in (EXIST, ALL):
+        queries.extend(harness.queries_for(2000, "medium", qtype, 3, count=6))
+    for i, slope in enumerate(SlopeSet.uniform_angles(3)):
+        queries.append(HalfPlaneQuery(EXIST, slope, 2.0 + i, ">="))
+        queries.append(HalfPlaneQuery(ALL, slope, -2.0 - i, "<="))
+    return queries
+
+
+def test_fig9_medium_sharded_batch_matches_unsharded_planner():
+    relation = harness.relation(2000, "medium")
+    slopes = SlopeSet.uniform_angles(3)
+    queries = _fig9_fan_and_mixed_batch()
+    reference = DualIndexPlanner.build(relation, slopes)
+    expected = [reference.query(q).ids for q in queries]
+    pages = {}
+    for shards in FIG9_SHARD_PAGES:
+        engine = ShardedDualIndex.build(relation, slopes, shards=shards)
+        try:
+            # Build every shard's dual surface outside the pinned batch.
+            engine.query_batch([HalfPlaneQuery(EXIST, 0.1234, 0.0, ">=")])
+            batch = engine.query_batch(queries)
+        finally:
+            engine.close()
+        mismatches = [
+            i for i, (result, want) in enumerate(zip(batch.results, expected))
+            if result.ids != want
+        ]
+        assert mismatches == [], (shards, mismatches)
+        pages[shards] = batch.page_accesses
+    assert pages == FIG9_SHARD_PAGES
 
 
 def test_updates_route_to_owning_shard():
