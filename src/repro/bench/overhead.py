@@ -1,4 +1,4 @@
-"""``repro overhead``: budget check for tracing's wall-time cost.
+"""Measurements behind ``repro overhead``, the tracing wall-time gate.
 
 The observability layer's contract is that tracing is cheap: disabled,
 the hooks are one global load and a ``None`` check; enabled, spans only
@@ -26,12 +26,11 @@ tracing + slow-query log + cost watchdog to its ≤3% budget.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import sys
 import time
 
 from repro.bench import harness
+from repro.bench.smoke import SMOKE_K, SMOKE_N, SMOKE_QUERIES, SMOKE_SIZE
 from repro.core.query import ALL, EXIST
 from repro.obs.trace import QueryTrace, tracing
 
@@ -62,18 +61,19 @@ def _run_workload(planner, queries, traced: bool) -> float:
     return time.perf_counter() - start
 
 
-def measure(
-    n: int = 500,
-    size: str = "small",
-    k: int = 3,
-    count: int = 4,
-    repeats: int = 5,
-) -> tuple[float, float]:
-    """``(untraced_best, traced_best)`` seconds over the smoke queries."""
-    planner = harness.dual_planner(n, size, k)
+def _smoke_workload():
+    """The perf-smoke dual planner and its EXIST + ALL queries."""
+    planner = harness.dual_planner(SMOKE_N, SMOKE_SIZE, SMOKE_K)
     queries = []
     for qtype in (EXIST, ALL):
-        queries.extend(harness.queries_for(n, size, qtype, k, count=count))
+        queries.extend(harness.queries_for(
+            SMOKE_N, SMOKE_SIZE, qtype, SMOKE_K, count=SMOKE_QUERIES))
+    return planner, queries
+
+
+def measure(repeats: int = 5) -> tuple[float, float]:
+    """``(untraced_best, traced_best)`` seconds over the smoke queries."""
+    planner, queries = _smoke_workload()
     # Warm both paths once (buffer pool, key caches) so neither mode
     # pays cold-start costs the other already amortized.
     _run_workload(planner, queries, traced=False)
@@ -118,14 +118,10 @@ def _serve_elapsed(
 
 
 def measure_serve(
-    n: int = 500,
-    size: str = "small",
-    k: int = 3,
-    count: int = 4,
     repeats: int = 3,
     requests: int = 400,
     concurrency: int = 8,
-    trace_sample: int = 64,
+    trace_sample: int = 16,
 ) -> tuple[float, float, float]:
     """``(off_best, on_best, best_paired_delta)`` serve-path seconds.
 
@@ -133,14 +129,11 @@ def measure_serve(
     runs with per-request ids, the cost watchdog, the slow-query log,
     and a span tree every ``trace_sample`` requests — the full
     production observability surface, not a stripped-down one. The
-    default cadence (64) matches what the CI serve job drives; span
-    trees are the one per-request knob, and the gate prices them at
-    the rate production actually pays.
+    default cadence (16) is the one the CI serve job runs ``repro
+    serve`` at; span trees are the one per-request knob, and the gate
+    prices them at the rate production actually pays.
     """
-    planner = harness.dual_planner(n, size, k)
-    queries = []
-    for qtype in (EXIST, ALL):
-        queries.extend(harness.queries_for(n, size, qtype, k, count=count))
+    planner, queries = _smoke_workload()
     # Interleave the two modes (off, on, off, on, ...) rather than
     # timing all of one then all of the other: wall-clock drift on a
     # shared runner (thermal, noisy neighbours) then lands on both
@@ -156,91 +149,3 @@ def measure_serve(
             planner, queries, requests, concurrency, trace_sample))
     paired = min(b - a for a, b in zip(offs, ons))
     return min(offs), min(ons), paired
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``repro overhead`` entry point. Returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="repro overhead",
-        description="gate tracing overhead against a wall-time budget",
-    )
-    parser.add_argument(
-        "--budget", type=float, default=0.05,
-        help="max fractional traced-over-untraced overhead (default 0.05)",
-    )
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="best-of repeats per mode (default 5)")
-    parser.add_argument("--n", type=int, default=500)
-    parser.add_argument("--size", default="small")
-    parser.add_argument("--k", type=int, default=3)
-    parser.add_argument("--count", type=int, default=4)
-    parser.add_argument(
-        "--serve", action="store_true",
-        help="gate the serve path's request tracing (ids + watchdog + "
-             "slow-query log) instead of the in-process span hooks",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=400,
-        help="serve mode: closed-loop requests per timed run",
-    )
-    parser.add_argument(
-        "--concurrency", type=int, default=8,
-        help="serve mode: closed-loop client connections",
-    )
-    parser.add_argument(
-        "--trace-sample", type=int, default=64,
-        help="serve mode: span-tree cadence in the traced run "
-             "(default 64, the CI serve cadence)",
-    )
-    args = parser.parse_args(argv)
-    if args.serve:
-        untraced, traced, paired = measure_serve(
-            n=args.n, size=args.size, k=args.k, count=args.count,
-            repeats=args.repeats, requests=args.requests,
-            concurrency=args.concurrency, trace_sample=args.trace_sample,
-        )
-        # Gate on the best matched pair's delta: the leg minima above
-        # are reported for context, but comparing them directly lets a
-        # single lucky untraced draw fail (or a lucky traced draw pass)
-        # the whole gate on a noisy shared runner.
-        allowed = untraced * args.budget + SERVE_ABSOLUTE_SLACK
-        print(
-            f"serve untraced best {untraced * 1000:.3f} ms, "
-            f"traced best {traced * 1000:.3f} ms, "
-            f"best paired delta {paired * 1000:+.3f} ms "
-            f"(allowed {allowed * 1000:.3f} ms = budget "
-            f"{args.budget:.0%} + "
-            f"{SERVE_ABSOLUTE_SLACK * 1000:.0f} ms slack)"
-        )
-        if paired > allowed:
-            print(
-                f"overhead: tracing cost exceeded budget "
-                f"({paired * 1000:+.3f} ms > {allowed * 1000:.3f} ms)",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    untraced, traced = measure(
-        n=args.n, size=args.size, k=args.k, count=args.count,
-        repeats=args.repeats,
-    )
-    limit = untraced * (1.0 + args.budget) + ABSOLUTE_SLACK
-    overhead = (traced - untraced) / untraced if untraced else 0.0
-    print(
-        f"untraced best {untraced * 1000:.3f} ms, "
-        f"traced best {traced * 1000:.3f} ms "
-        f"({overhead:+.1%} vs budget {args.budget:.0%} "
-        f"+ {ABSOLUTE_SLACK * 1000:.0f} ms slack)"
-    )
-    if traced > limit:
-        print(
-            f"overhead: traced run exceeded budget "
-            f"({traced * 1000:.3f} ms > {limit * 1000:.3f} ms)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

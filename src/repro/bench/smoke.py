@@ -25,10 +25,7 @@ same build, same sweep — so the gate is flake-free by construction.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 import time
 
 from repro.bench import harness
@@ -43,7 +40,6 @@ SMOKE_K = 3
 SMOKE_QUERIES = 4
 
 DEFAULT_BASELINE = os.path.join("benchmarks", "baselines", "smoke.json")
-DEFAULT_OUT = "BENCH_smoke.json"
 
 
 def default_baseline() -> str:
@@ -81,8 +77,7 @@ def run_smoke(
 ) -> MetricsRegistry:
     """Run the workload and return the populated registry.
 
-    The defaults are the CI gate's fixed parameters; ``repro stats``
-    reuses this with user-chosen ones. ``shards > 1`` adds a
+    The defaults are the CI gate's fixed parameters. ``shards > 1`` adds a
     sharded-engine leg whose counters are new (warn-only) until pinned
     into the baseline; ``data_dir`` adds a durable save/open leg under
     that directory.
@@ -199,8 +194,8 @@ def _run_shard_leg(
     ``smoke_shard_pages``/``smoke_shard_results`` plus the engine's own
     fleet series — ``shard_fanout_*`` and the per-shard
     ``shard_exec_*{shard=i}`` / ``shard_pages{shard=i}`` families the
-    facade drains from its shard-local registries — so ``repro stats``
-    sees sharded traffic. The extra families are distinct names from
+    facade drains from its shard-local registries — so the ``repro
+    smoke --shards N`` output shows sharded traffic. The extra families are distinct names from
     the gated default-workload counters (they cannot inflate them), and
     new keys warn rather than gate.
     """
@@ -349,90 +344,3 @@ def check_baseline(current: dict, baseline: dict) -> list[str]:
                 f"{key}: {cur_counters[key]:g} exceeds baseline {limit:g}"
             )
     return violations
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``repro smoke`` entry point. Returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="repro smoke",
-        description="run the CI perf-smoke workload and gate on a baseline",
-    )
-    parser.add_argument(
-        "--out", default=DEFAULT_OUT,
-        help=f"where to write the metrics JSON (default {DEFAULT_OUT})",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help=(
-            "baseline to gate against; by convention the checked-in "
-            f"{DEFAULT_BASELINE} relative to the repository root, found "
-            "from the working directory or the installed checkout "
-            "(default: that convention)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from this run instead of gating",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="also run a sharded-engine leg with this many shards "
-             "(default 1 = unsharded only; the extra counters are new, "
-             "so they warn rather than gate until the baseline is "
-             "re-pinned)",
-    )
-    parser.add_argument(
-        "--data-dir", default=None,
-        help="run the whole workload file-backed (sets REPRO_DATA_DIR) "
-             "under this directory and add the durable save/open leg; "
-             "page counters must not move (the FileDisk accounting is "
-             "bit-identical to the simulator's)",
-    )
-    args = parser.parse_args(argv)
-    if args.baseline is None:
-        args.baseline = default_baseline()
-    if args.data_dir is not None:
-        # Every default pager in this process now runs file-backed.
-        os.environ["REPRO_DATA_DIR"] = args.data_dir
-
-    registry = run_smoke(shards=args.shards, data_dir=args.data_dir)
-    current = registry.collect()
-    with open(args.out, "w") as handle:
-        handle.write(registry.export_json())
-        handle.write("\n")
-    print(f"wrote {args.out} ({len(current['counters'])} counters)")
-
-    if args.update_baseline:
-        os.makedirs(os.path.dirname(args.baseline) or ".", exist_ok=True)
-        with open(args.baseline, "w") as handle:
-            json.dump({"counters": current["counters"]}, handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"updated baseline {args.baseline}")
-        return 0
-
-    if not os.path.exists(args.baseline):
-        print(f"no baseline at {args.baseline}; run with --update-baseline",
-              file=sys.stderr)
-        return 2
-    with open(args.baseline) as handle:
-        baseline = json.load(handle)
-    violations = check_baseline(current, baseline)
-    new_keys = sorted(
-        set(current["counters"]) - set(baseline.get("counters", {}))
-    )
-    if new_keys:
-        print(f"note: {len(new_keys)} counters not in baseline "
-              f"(e.g. {new_keys[0]})")
-    if violations:
-        print("perf-smoke FAILED:", file=sys.stderr)
-        for line in violations:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print(f"perf-smoke OK: {len(baseline.get('counters', {}))} counters "
-          f"within baseline")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

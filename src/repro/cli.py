@@ -1,79 +1,7 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``info``
-    Library, configuration and experiment overview.
-``demo``
-    Run the Example 2.1 quickstart inline.
-``figure --id 8a|8b|9a|9b|10 [--full]``
-    Regenerate one of the paper's figures and print the series.
-``query --tuples FILE --type ALL|EXIST --slope A --intercept B [--theta GE|LE]``
-    Index a relation read from a text file (one generalized tuple per
-    line, ``#`` comments allowed) and run a single half-plane query.
-``trace ...``
-    Same arguments as ``query``, but runs it under a
-    :class:`repro.obs.QueryTrace` and prints the span tree — per-phase
-    logical/physical I/O and wall times (``--json`` for the raw trace).
-``batch --tuples FILE --queries FILE [--shards N]``
-    Index a relation and answer a whole query file through the batch
-    execution engine (:mod:`repro.exec`): merged sweeps for
-    restricted-slope groups, vectorized dual evaluation elsewhere, LRU
-    result caching — with a shared-work page-access summary.
-    ``--shards N`` partitions the relation across N independent shards
-    (:mod:`repro.shard`) and runs the batch on each shard in turn.
-``explain [--workload fig9-medium | --tuples FILE --queries FILE] [--shards N]``
-    Run one query workload under a trace and print the explain report:
-    the span tree, exclusive per-phase page/time attribution (checked
-    to sum to the inclusive total), B+-tree descent heights, buffer hit
-    ratios, cache outcomes, and per-shard work rows. ``--chrome-out``
-    exports a Perfetto-openable Chrome trace, ``--events-out`` a JSONL
-    event dump.
-``stats [--n N --size small|medium --k K --queries Q --shards S]``
-    Run a query batch and print the metrics-registry snapshot
-    (includes the batch executor's ``exec_*`` cache counters and, with
-    ``--shards``, the merged ``shard=i`` fleet series). ``--format
-    prom`` emits Prometheus text exposition instead of JSON.
-``bench-diff BASELINE CURRENT [--threshold F]``
-    Per-counter delta report between two bench/smoke JSON artifacts;
-    exits non-zero when a counter rises beyond the threshold — the CI
-    page-count gate runs it against ``benchmarks/baselines/smoke.json``.
-``overhead [--budget F --repeats N]``
-    Measure traced vs untraced query wall time (best-of-N) and fail
-    when tracing exceeds the fractional budget.
-``smoke [--out FILE --baseline FILE --update-baseline --shards N]``
-    The CI perf-smoke gate (see :mod:`repro.bench.smoke`). The baseline
-    lives at ``benchmarks/baselines/smoke.json`` relative to the
-    repository root; ``--baseline PATH`` overrides the convention.
-``tune --data-dir DIR (--queries FILE | --slope-log FILE) [--k K --apply --out DIR]``
-    Adaptive slope-set tuning (:mod:`repro.tune`): learn a slope set
-    from observed query slopes (a query file, or a slope-log snapshot
-    JSON), price it against the engine's current set with the
-    Theorem 4.1/4.2 cost model, and report the predicted win. With
-    ``--apply``, rebuild the engine under the learned set into a *new*
-    data directory ``--out`` (the source directory is untouched —
-    rollback is keeping the old path). Answers are preserved
-    bit-exactly; only page counts change.
-``fuzz [--seed N --budget 30s --out DIR --replay FILE --fault-demo]``
-    Differential fuzzing (:mod:`repro.verify`): cross-check every query
-    path against the geometric and LP oracles on randomized +
-    adversarial workloads within a time budget; failing cases are
-    minimised to replayable JSON repros in ``--out``. ``--replay FILE``
-    re-runs one repro; ``--fault-demo`` runs the fault-injection
-    scenario. Exit code 1 on any disagreement.
-``slowlog LOG [--by latency|pages --entry N --replay --data-dir DIR]``
-    Inspect a slow-query log dump (the ``--slowlog-out`` JSONL a server
-    writes on shutdown, or a ``kind=slowlog`` repro JSON). Default:
-    worst-first listing. ``--replay`` re-executes the selected entry
-    against its engine and exits 1 unless the recorded answer digest
-    and page accounting reproduce bit-identically
-    (:mod:`repro.verify.slowlog_replay`); ``--repro-out DIR`` converts
-    the entry to the differential fuzzer's repro format instead.
-``top --metrics-port P [--host H --interval S --iterations N --once]``
-    Refresh-loop terminal view over a serving process's ``/metrics`` +
-    ``/slowlog``: QPS, p50/p99, pages/query, predicted-vs-actual cost
-    ratio, watchdog violations, WAL/checkpoint lag, tune status
-    (:mod:`repro.serve.top`).
+Each subcommand documents itself: ``repro --help`` lists them and
+``repro <command> --help`` gives its options.
 """
 
 from __future__ import annotations
@@ -113,50 +41,42 @@ def build_parser() -> argparse.ArgumentParser:
         "--chart", action="store_true", help="also render an ASCII chart"
     )
 
-    for name, help_text in (
-        ("query", "query a relation from a file"),
-        ("trace", "query a relation from a file, printing the span tree"),
-    ):
-        cmd = sub.add_parser(
-            name,
-            help=help_text,
-            description=(
-                f"{help_text}. File paths are resolved relative to the "
-                "current working directory (the conventional layout keeps "
-                "tuple files under the repository root, next to "
-                "benchmarks/baselines/ where the smoke gate keeps its "
-                "baseline)."
-            ),
-        )
-        cmd.add_argument(
-            "--tuples", required=True,
-            help="tuple file path (one generalized tuple per line, "
-                 "# comments allowed)",
-        )
-        cmd.add_argument(
-            "--type", required=True, choices=["ALL", "EXIST"],
-            help="selection type",
-        )
-        cmd.add_argument(
-            "--slope", type=float, required=True,
-            help="query slope (the s of y θ s·x + b)",
-        )
-        cmd.add_argument(
-            "--intercept", type=float, required=True,
-            help="query intercept (the b of y θ s·x + b)",
-        )
-        cmd.add_argument(
-            "--theta", default="GE", choices=["GE", "LE"],
-            help="comparison operator (default GE)",
-        )
-        cmd.add_argument(
-            "--slopes",
-            default=None,
-            help="comma-separated predefined slope set (default: 3 uniform)",
-        )
-    sub.choices["trace"].add_argument(
-        "--json", action="store_true",
-        help="emit the trace as JSON instead of the rendered tree",
+    query = sub.add_parser(
+        "query",
+        help="query a relation from a file",
+        description=(
+            "Index a relation read from a tuple file and run one "
+            "half-plane query through the paper's T1/T2 planner. File "
+            "paths are resolved relative to the current working "
+            "directory. `repro explain --tuples F --queries Q` runs "
+            "the same query under a trace."
+        ),
+    )
+    query.add_argument(
+        "--tuples", required=True,
+        help="tuple file path (one generalized tuple per line, "
+             "# comments allowed)",
+    )
+    query.add_argument(
+        "--type", required=True, choices=["ALL", "EXIST"],
+        help="selection type",
+    )
+    query.add_argument(
+        "--slope", type=float, required=True,
+        help="query slope (the s of y θ s·x + b)",
+    )
+    query.add_argument(
+        "--intercept", type=float, required=True,
+        help="query intercept (the b of y θ s·x + b)",
+    )
+    query.add_argument(
+        "--theta", default="GE", choices=["GE", "LE"],
+        help="comparison operator (default GE)",
+    )
+    query.add_argument(
+        "--slopes",
+        default=None,
+        help="comma-separated predefined slope set (default: 3 uniform)",
     )
 
     batch = sub.add_parser(
@@ -249,10 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export a Chrome trace-event JSON (open in Perfetto)",
     )
     explain.add_argument(
-        "--events-out", default=None,
-        help="also dump the span events as JSONL",
-    )
-    explain.add_argument(
         "--json", action="store_true",
         help="emit the raw trace JSON instead of the rendered report",
     )
@@ -261,32 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="open a saved engine from this directory instead of "
              "building one (needs --queries; excludes --workload/"
              "--tuples)",
-    )
-
-    stats = sub.add_parser(
-        "stats", help="run a query batch and print the metrics registry"
-    )
-    stats.add_argument("--n", type=int, default=500, help="relation size")
-    stats.add_argument("--size", default="small", choices=["small", "medium"])
-    stats.add_argument("--k", type=int, default=3, help="slope-set size")
-    stats.add_argument(
-        "--queries", type=int, default=4, help="queries per selection type"
-    )
-    stats.add_argument(
-        "--format", default="json", choices=["json", "prom"],
-        help="output format: registry JSON (default) or Prometheus "
-             "text exposition",
-    )
-    stats.add_argument(
-        "--shards", type=int, default=1,
-        help="also run the sharded smoke leg; its per-shard series "
-             "merge into the output as shard_*{shard=i}",
-    )
-    stats.add_argument(
-        "--data-dir", default=None,
-        help="also run the durable save/open leg under this directory; "
-             "its WAL/checkpoint counters (wal_appends, wal_fsyncs, "
-             "checkpoint_pages) join the output",
     )
 
     smoke = sub.add_parser(
@@ -301,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     smoke.add_argument(
-        "--out", default=None,
+        "--out", default="BENCH_smoke.json",
         help="where to write the metrics JSON (default BENCH_smoke.json)",
     )
     smoke.add_argument(
@@ -315,31 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     smoke.add_argument(
         "--shards", type=int, default=1,
-        help="also run a sharded-engine smoke leg with N shards",
+        help="also run a sharded-engine smoke leg with N shards; its "
+             "counters (and the merged shard_*{shard=i} fleet series) "
+             "are new, so they warn rather than gate until the "
+             "baseline is re-pinned",
     )
     smoke.add_argument(
         "--data-dir", default=None,
         help="run the whole workload file-backed (REPRO_DATA_DIR) under "
              "this directory and add a durable save/open leg whose "
-             "answers must match the live engine",
-    )
-
-    bench_diff = sub.add_parser(
-        "bench-diff",
-        help="diff two bench/smoke JSON artifacts, gate on regressions",
-        description=(
-            "Per-counter delta report between two bench artifacts "
-            "(MetricsRegistry.collect() documents or flat key->number "
-            "maps). A counter above baseline x (1 + threshold), or a "
-            "baseline counter missing from the current run, is a "
-            "regression (exit 1). New counters never fail."
-        ),
-    )
-    bench_diff.add_argument("baseline", help="baseline artifact (JSON)")
-    bench_diff.add_argument("current", help="current artifact (JSON)")
-    bench_diff.add_argument(
-        "--threshold", type=float, default=0.0,
-        help="fractional regression allowance (default 0)",
+             "answers must match the live engine; page counters must "
+             "not move",
     )
 
     overhead = sub.add_parser(
@@ -371,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     overhead.add_argument(
         "--trace-sample", type=int, default=16,
-        help="--serve: span-tree cadence in the traced run (default 16)",
+        help="--serve: span-tree cadence in the traced run (default 16, "
+             "the cadence the CI serve job runs `repro serve` at)",
     )
 
     fuzz = sub.add_parser(
@@ -519,10 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-checkpoint-mb", type=float, default=4.0,
         help="auto-checkpoint when the WAL exceeds this many MiB "
              "(default 4)",
-    )
-    serve.add_argument(
-        "--events-out", default=None,
-        help="write the event ring as JSONL on shutdown (trace artifact)",
     )
     serve.add_argument(
         "--auto-tune", action="store_true",
@@ -740,62 +613,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "info":
-        return _info()
-    if args.command == "demo":
-        return _demo()
-    if args.command == "figure":
-        return _figure(args)
-    if args.command == "query":
-        return _query(args)
-    if args.command == "trace":
-        return _trace(args)
-    if args.command == "batch":
-        return _batch(args)
-    if args.command == "explain":
-        return _explain(args)
-    if args.command == "stats":
-        return _stats(args)
-    if args.command == "bench-diff":
-        from repro.bench import diff
-
-        return diff.main(
-            [args.baseline, args.current, "--threshold",
-             str(args.threshold)]
-        )
-    if args.command == "overhead":
-        from repro.bench import overhead
-
-        forwarded = [
-            "--budget", str(args.budget), "--repeats", str(args.repeats)]
-        if args.serve:
-            forwarded += [
-                "--serve", "--requests", str(args.requests),
-                "--concurrency", str(args.concurrency),
-                "--trace-sample", str(args.trace_sample)]
-        return overhead.main(forwarded)
-    if args.command == "smoke":
-        return _smoke(args)
-    if args.command == "tune":
-        return _tune(args)
-    if args.command == "fuzz":
-        return _fuzz(args)
-    if args.command == "save":
-        return _save(args)
-    if args.command == "open":
-        return _open(args)
-    if args.command == "serve":
-        return _serve(args)
-    if args.command == "loadgen":
-        return _loadgen(args)
-    if args.command == "slowlog":
-        return _slowlog(args)
-    if args.command == "top":
-        return _top(args)
-    return 2  # pragma: no cover - argparse enforces choices
+    handler = {
+        "info": _info,
+        "demo": _demo,
+        "figure": _figure,
+        "query": _query,
+        "batch": _batch,
+        "explain": _explain,
+        "overhead": _overhead,
+        "smoke": _smoke,
+        "tune": _tune,
+        "fuzz": _fuzz,
+        "save": _save,
+        "open": _open,
+        "serve": _serve,
+        "loadgen": _loadgen,
+        "slowlog": _slowlog,
+        "top": _top,
+    }[args.command]
+    return handler(args)
 
 
-def _info() -> int:
+def _info(args) -> int:
     from repro.bench import PAPER_K_VALUES, PAPER_N_VALUES
 
     print(f"repro {__version__} — dual-representation constraint-database "
@@ -809,7 +648,7 @@ def _info() -> int:
     return 0
 
 
-def _demo() -> int:
+def _demo(args) -> int:
     import runpy
 
     candidates = [
@@ -871,35 +710,15 @@ def _figure(args) -> int:
     return 0
 
 
-def _load_workload(args):
-    """Shared by ``query`` and ``trace``: (relation, planner, query)."""
-    from repro.constraints import GeneralizedRelation, parse_tuple
-    from repro.core import DualIndexPlanner, HalfPlaneQuery, SlopeSet
-
-    relation = GeneralizedRelation(name=os.path.basename(args.tuples))
-    with open(args.tuples) as handle:
-        for line_no, line in enumerate(handle, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            relation.add(parse_tuple(text, dimension=2, label=f"line {line_no}"))
-    if len(relation) == 0:
-        return None, None, None
-    if args.slopes:
-        slopes = SlopeSet(float(v) for v in args.slopes.split(","))
-    else:
-        slopes = SlopeSet.uniform_angles(3)
-    planner = DualIndexPlanner.build(relation, slopes)
-    theta = ">=" if args.theta == "GE" else "<="
-    query = HalfPlaneQuery(args.type, args.slope, args.intercept, theta)
-    return relation, planner, query
-
-
 def _query(args) -> int:
-    relation, planner, query = _load_workload(args)
+    from repro.core import HalfPlaneQuery
+
+    relation, planner = _load_relation(args.tuples, args.slopes)
     if relation is None:
         print("no tuples found", file=sys.stderr)
         return 1
+    theta = ">=" if args.theta == "GE" else "<="
+    query = HalfPlaneQuery(args.type, args.slope, args.intercept, theta)
     result = planner.query(query)
     theta = query.theta.value
     print(f"query    : {args.type}(y {theta} {args.slope}·x + {args.intercept})")
@@ -911,30 +730,6 @@ def _query(args) -> int:
         f"cost     : {result.page_accesses} page accesses "
         f"({result.candidates} candidates, {result.false_hits} false hits)"
     )
-    return 0
-
-
-def _trace(args) -> int:
-    from repro.obs import QueryTrace, tracing
-
-    relation, planner, query = _load_workload(args)
-    if relation is None:
-        print("no tuples found", file=sys.stderr)
-        return 1
-    trace = QueryTrace(
-        pager=planner.index.pager,
-        name=f"{args.type.lower()}({args.slope:g},{args.intercept:g})",
-    )
-    with tracing(trace):
-        result = planner.query(query)
-    if args.json:
-        print(trace.export_json())
-    else:
-        print(trace.render())
-        print()
-        print(f"technique: {result.technique}; "
-              f"{len(result.ids)} of {len(relation)} tuples; "
-              f"{result.page_accesses} page accesses")
     return 0
 
 
@@ -1089,7 +884,6 @@ def _explain(args) -> int:
 
     from repro.obs import explain as run_explain
     from repro.obs import render_explain
-    from repro.obs.events import EventLog, log_trace
     from repro.obs.export import write_chrome_trace
 
     sources = [
@@ -1155,28 +949,6 @@ def _explain(args) -> int:
     if args.chrome_out:
         write_chrome_trace(report.root, args.chrome_out)
         print(f"\nwrote chrome trace: {args.chrome_out} (open in Perfetto)")
-    if args.events_out:
-        log = EventLog()
-        count = log_trace(log, report.root)
-        log.write_jsonl(args.events_out)
-        print(f"wrote {count} events: {args.events_out}")
-    return 0
-
-
-def _stats(args) -> int:
-    from repro.bench.smoke import run_smoke
-    from repro.obs import get_registry
-
-    # The process-global registry, so fleet series merged from shard
-    # registries land in the same snapshot we print.
-    registry = run_smoke(
-        get_registry(), n=args.n, size=args.size, k=args.k,
-        count=args.queries, shards=args.shards, data_dir=args.data_dir,
-    )
-    if args.format == "prom":
-        sys.stdout.write(registry.export_prom())
-    else:
-        print(registry.export_json())
     return 0
 
 
@@ -1242,20 +1014,99 @@ def _fuzz(args) -> int:
 
 
 def _smoke(args) -> int:
-    from repro.bench import smoke
+    import json
 
-    argv: list[str] = []
-    if args.out:
-        argv += ["--out", args.out]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
+    from repro.bench.smoke import check_baseline, default_baseline, run_smoke
+
+    baseline_path = args.baseline or default_baseline()
+    if args.data_dir is not None:
+        # Every default pager in this process now runs file-backed.
+        os.environ["REPRO_DATA_DIR"] = args.data_dir
+    registry = run_smoke(shards=args.shards, data_dir=args.data_dir)
+    current = registry.collect()
+    with open(args.out, "w") as handle:
+        handle.write(registry.export_json())
+        handle.write("\n")
+    print(f"wrote {args.out} ({len(current['counters'])} counters)")
+
     if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.shards != 1:
-        argv += ["--shards", str(args.shards)]
-    if args.data_dir:
-        argv += ["--data-dir", args.data_dir]
-    return smoke.main(argv)
+        os.makedirs(os.path.dirname(baseline_path) or ".", exist_ok=True)
+        with open(baseline_path, "w") as handle:
+            json.dump({"counters": current["counters"]}, handle, indent=2,
+                      sort_keys=True)
+            handle.write("\n")
+        print(f"updated baseline {baseline_path}")
+        return 0
+    if not os.path.exists(baseline_path):
+        print(f"no baseline at {baseline_path}; run with --update-baseline",
+              file=sys.stderr)
+        return 2
+    with open(baseline_path) as handle:
+        baseline = json.load(handle)
+    violations = check_baseline(current, baseline)
+    new_keys = sorted(
+        set(current["counters"]) - set(baseline.get("counters", {}))
+    )
+    if new_keys:
+        print(f"note: {len(new_keys)} counters not in baseline "
+              f"(e.g. {new_keys[0]})")
+    if violations:
+        print("perf-smoke FAILED:", file=sys.stderr)
+        for line in violations:
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    print(f"perf-smoke OK: {len(baseline.get('counters', {}))} counters "
+          f"within baseline")
+    return 0
+
+
+def _overhead(args) -> int:
+    from repro.bench import overhead
+
+    if args.serve:
+        untraced, traced, paired = overhead.measure_serve(
+            repeats=args.repeats, requests=args.requests,
+            concurrency=args.concurrency, trace_sample=args.trace_sample,
+        )
+        # Gate on the best matched pair's delta: the leg minima above
+        # are reported for context, but comparing them directly lets a
+        # single lucky untraced draw fail (or a lucky traced draw pass)
+        # the whole gate on a noisy shared runner.
+        slack = overhead.SERVE_ABSOLUTE_SLACK
+        allowed = untraced * args.budget + slack
+        print(
+            f"serve untraced best {untraced * 1000:.3f} ms, "
+            f"traced best {traced * 1000:.3f} ms, "
+            f"best paired delta {paired * 1000:+.3f} ms "
+            f"(allowed {allowed * 1000:.3f} ms = budget "
+            f"{args.budget:.0%} + {slack * 1000:.0f} ms slack)"
+        )
+        if paired > allowed:
+            print(
+                f"overhead: tracing cost exceeded budget "
+                f"({paired * 1000:+.3f} ms > {allowed * 1000:.3f} ms)",
+                file=sys.stderr,
+            )
+            return 1
+        return 0
+    untraced, traced = overhead.measure(repeats=args.repeats)
+    slack = overhead.ABSOLUTE_SLACK
+    limit = untraced * (1.0 + args.budget) + slack
+    ratio = (traced - untraced) / untraced if untraced else 0.0
+    print(
+        f"untraced best {untraced * 1000:.3f} ms, "
+        f"traced best {traced * 1000:.3f} ms "
+        f"({ratio:+.1%} vs budget {args.budget:.0%} "
+        f"+ {slack * 1000:.0f} ms slack)"
+    )
+    if traced > limit:
+        print(
+            f"overhead: traced run exceeded budget "
+            f"({traced * 1000:.3f} ms > {limit * 1000:.3f} ms)",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 def _save(args) -> int:
@@ -1404,7 +1255,7 @@ def _serve(args) -> int:  # pragma: no cover - run-forever loop (CI leg)
         trace_out=args.trace_out,
         cost_budget=args.cost_budget,
     )
-    asyncio.run(serve_until_interrupted(config, events_out=args.events_out))
+    asyncio.run(serve_until_interrupted(config))
     return 0
 
 

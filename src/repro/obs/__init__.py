@@ -11,7 +11,6 @@ carries a first-class measurement layer:
   I/O, buffer hits, comparison counts and wall time to each phase;
 * :mod:`repro.obs.export` — Chrome trace-event JSON export of span
   trees (openable in Perfetto);
-* :mod:`repro.obs.events` — a bounded JSONL structured-event ring;
 * :mod:`repro.obs.explain` — the ``repro explain`` report: exclusive
   per-phase attribution with a sums-to-inclusive-total invariant;
 * :mod:`repro.obs.tracer` — request-scoped trace contexts for the serve
@@ -48,7 +47,6 @@ Example::
     print(trace.export_json())
 """
 
-from repro.obs.events import EventLog, get_event_log, log_trace, parse_jsonl
 from repro.obs.explain import (
     ExplainInvariantError,
     ExplainReport,
@@ -96,7 +94,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "EventLog",
     "ExplainInvariantError",
     "ExplainReport",
     "explain",
@@ -107,9 +104,6 @@ __all__ = [
     "MetricsRegistry",
     "RegistrySnapshot",
     "get_registry",
-    "get_event_log",
-    "log_trace",
-    "parse_jsonl",
     "chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",

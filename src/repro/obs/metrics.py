@@ -294,7 +294,7 @@ class MetricsRegistry:
         )
 
     def export_prom(self) -> str:
-        """Prometheus text exposition format (``repro stats --format prom``).
+        """Prometheus text exposition format (the sidecar's ``/metrics``).
 
         Metric names are sanitized to the Prometheus charset, histogram
         buckets are emitted cumulatively with the standard ``_bucket``/
@@ -421,8 +421,8 @@ class RegistrySnapshot:
     back (snapshots are plain data, so they also pickle across process
     boundaries), gets relabeled via :meth:`with_labels` (``shard=i``),
     and merges into the global registry through
-    :meth:`MetricsRegistry.absorb` — which is how ``repro stats`` sees
-    sharded traffic.
+    :meth:`MetricsRegistry.absorb` — which is how ``repro smoke
+    --shards N`` and ``/metrics`` see sharded traffic.
 
     ``families`` maps metric name to ``{"kind", "help", "labelnames",
     "buckets" (histograms), "series": [(labelvalues, state), ...]}``

@@ -286,7 +286,7 @@ class QueryTrace:
         return json.dumps(self.to_dict(), indent=indent)
 
     def render(self) -> str:
-        """Human-readable span tree (the ``repro trace`` CLI output)."""
+        """Human-readable span tree (the tree ``repro explain`` prints)."""
         self.close()
         lines: list[str] = []
         _render_span(self.root, "", True, True, lines)

@@ -24,9 +24,9 @@ mutation the server checks the WAL size and, past
 left open by ``commit_planner``'s grow-forever log.
 
 Observability: ``serve_*`` metrics in the process registry (exported
-from the sidecar HTTP ``/metrics`` endpoint in Prometheus text form),
-one event per lifecycle action in the default event ring, and a span
-per request when tracing is active. With ``trace_sample`` >= 1 every
+from the sidecar HTTP ``/metrics`` endpoint in Prometheus text form;
+reloads, auto-checkpoints and tune swaps each have a counter), and a
+span per request when tracing is active. With ``trace_sample`` >= 1 every
 request additionally gets a request-scoped trace id (adopted from the
 wire ``trace`` field or minted), every Nth query batch records a full
 span tree, per-request page attribution feeds a cost watchdog scoring
@@ -44,7 +44,6 @@ import asyncio
 import collections
 import concurrent.futures
 import json
-import os
 import signal
 import threading
 import time
@@ -58,7 +57,6 @@ from repro.errors import (
 )
 from repro.obs import slopelog, tracer
 from repro.obs import trace as obs
-from repro.obs.events import get_event_log
 from repro.obs.metrics import get_registry
 from repro.obs.slowlog import SlowLogEntry, SlowQueryLog, answer_digest, \
     slope_set_hash
@@ -182,7 +180,6 @@ class ReproServer:
         self._inflight = 0
         self._draining = False
         self._conn_tasks: set[asyncio.Task] = set()
-        self._events = get_event_log()
         #: Traffic slope log feeding ``tune`` / auto-tune decisions.
         self._slope_log = slopelog.SlopeLog(capacity=config.tune_capacity)
         self._prev_slope_log: slopelog.SlopeLog | None = None
@@ -323,8 +320,6 @@ class ReproServer:
         self._prev_slope_log = slopelog.install(self._slope_log)
         if self.config.auto_tune:
             self._tune_task = loop.create_task(self._auto_tune_loop())
-        self._events.emit(
-            "serve", "start", host=self.config.host, port=self.port)
 
     def _open_engine(self):
         return open_engine(self.config.data_dir)
@@ -402,17 +397,11 @@ class ReproServer:
         self._exec.shutdown(wait=True)
         self.flush_observations()
         if self._slowlog is not None and self.config.slowlog_out:
-            count = self._slowlog.write_jsonl(self.config.slowlog_out)
-            self._events.emit(
-                "serve", "slowlog", path=self.config.slowlog_out,
-                entries=count)
+            self._slowlog.write_jsonl(self.config.slowlog_out)
         if self.config.trace_out and self._last_trace is not None:
             with open(self.config.trace_out, "w", encoding="utf-8") as fh:
                 json.dump(self._last_trace, fh, sort_keys=True)
                 fh.write("\n")
-            self._events.emit(
-                "serve", "trace", path=self.config.trace_out)
-        self._events.emit("serve", "stop")
 
     async def reload(self) -> None:
         """Reopen the engine from ``data_dir`` and swap it in.
@@ -435,7 +424,6 @@ class ReproServer:
         await loop.run_in_executor(self._exec, _swap)
         self._note_engine_swap()
         self._c_reloads.inc()
-        self._events.emit("serve", "reload", data_dir=self.config.data_dir)
 
     # ------------------------------------------------------------------
     # online retune
@@ -486,9 +474,6 @@ class ReproServer:
             self._note_engine_swap()
             self._c_tune_swaps.inc()
             report["tuned"] = True
-            self._events.emit(
-                "serve", "tune-swap", slopes=list(decision.learned),
-                evidence=decision.evidence)
         else:
             self._c_tune_skips.labels(reason="mutated").inc()
             report["reason"] = "mutated"
@@ -676,8 +661,6 @@ class ReproServer:
         self._note_engine_swap()
         if checkpointed:
             self._c_checkpoints.inc()
-            self._events.emit(
-                "serve", "auto-checkpoint", data_dir=self.config.data_dir)
         return result
 
     # ------------------------------------------------------------------
@@ -1120,13 +1103,8 @@ def _tuple_from_wire(atoms: list) -> "object":
         raise ProtocolError(f"malformed insert tuple: {exc}")
 
 
-async def serve_until_interrupted(config: ServeConfig,
-                                  events_out: str | None = None) -> None:
-    """Run a server until SIGINT/SIGTERM (the ``repro serve`` CLI loop).
-
-    On shutdown, optionally dumps the event ring to ``events_out`` as
-    JSONL (the CI trace artifact).
-    """
+async def serve_until_interrupted(config: ServeConfig) -> None:
+    """Run a server until SIGINT/SIGTERM (the ``repro serve`` CLI loop)."""
     server = ReproServer(config)
     await server.start()
     stop = asyncio.Event()
@@ -1144,7 +1122,3 @@ async def serve_until_interrupted(config: ServeConfig,
         await stop.wait()
     finally:
         await server.stop()
-        if events_out:
-            get_event_log().write_jsonl(events_out)
-            if not os.environ.get("REPRO_QUIET"):
-                print(f"wrote events to {events_out}", flush=True)

@@ -80,75 +80,59 @@ def test_unknown_command_rejected():
         main(["not-a-command"])
 
 
+@pytest.mark.parametrize("command", [
+    "info", "demo", "figure", "query", "batch", "explain", "smoke",
+    "overhead", "fuzz", "save", "open", "serve", "loadgen", "slowlog",
+    "top", "tune",
+])
+def test_subcommand_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert f"repro {command}" in capsys.readouterr().out
+
+
 TRACE_TUPLES = (
     "x >= 0 and x <= 2 and y >= 0 and y <= 2\n"
     "x >= 5 and x <= 7 and y >= 5 and y <= 7\n"
 )
 
 
-def test_trace_prints_span_tree(tmp_path, capsys):
+def _explain_one(tmp_path, query_line, *extra):
     tuples = tmp_path / "tuples.txt"
     tuples.write_text(TRACE_TUPLES)
-    code = main(
-        [
-            "trace",
-            "--tuples", str(tuples),
-            "--type", "EXIST",
-            "--slope", "1",
-            "--intercept", "0",
-        ]
-    )
-    assert code == 0
+    queries = tmp_path / "queries.txt"
+    queries.write_text(query_line + "\n")
+    return main(["explain", "--tuples", str(tuples),
+                 "--queries", str(queries), *extra])
+
+
+def test_explain_prints_span_tree(tmp_path, capsys):
+    assert _explain_one(tmp_path, "EXIST 1 0 GE") == 0
     out = capsys.readouterr().out
     # span tree with per-phase I/O and timings
     assert "query" in out
     assert "plan" in out
     assert "fetch" in out or "sweep" in out
     assert "ms" in out and "pages" in out and "physical" in out
-    assert "technique:" in out
+    assert "technique=" in out
 
 
-def test_trace_json(tmp_path, capsys):
+def test_explain_json(tmp_path, capsys):
     import json
 
-    tuples = tmp_path / "tuples.txt"
-    tuples.write_text(TRACE_TUPLES)
-    code = main(
-        [
-            "trace",
-            "--tuples", str(tuples),
-            "--type", "ALL",
-            "--slope", "0.5",
-            "--intercept", "-1",
-            "--theta", "LE",
-            "--json",
-        ]
-    )
-    assert code == 0
+    assert _explain_one(tmp_path, "ALL 0.5 -1 LE", "--json") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["children"][0]["name"] == "query"
     assert "logical_reads" in doc["io"]
 
 
-def test_trace_leaves_tracing_disabled(tmp_path, capsys):
+def test_explain_leaves_tracing_disabled(tmp_path, capsys):
     from repro.obs import trace as obs
 
-    tuples = tmp_path / "tuples.txt"
-    tuples.write_text(TRACE_TUPLES)
-    main(["trace", "--tuples", str(tuples), "--type", "EXIST",
-          "--slope", "1", "--intercept", "0"])
+    _explain_one(tmp_path, "EXIST 1 0 GE")
     capsys.readouterr()
     assert obs.current() is None
-
-
-def test_stats_emits_registry_json(capsys):
-    import json
-
-    code = main(["stats", "--n", "60", "--k", "2", "--queries", "1"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"counters", "gauges", "histograms"}
-    assert any(k.startswith("smoke_index_pages") for k in doc["counters"])
 
 
 def test_smoke_gate_round_trip(tmp_path, capsys):
@@ -210,14 +194,12 @@ def test_explain_from_files_with_artifacts(tmp_path, capsys):
     queries = tmp_path / "queries.txt"
     queries.write_text("EXIST 0.5 2.0 GE\nALL 0.5 -1.0 LE\n")
     chrome = tmp_path / "trace.json"
-    events = tmp_path / "events.jsonl"
     code = main(
         [
             "explain",
             "--tuples", str(tuples),
             "--queries", str(queries),
             "--chrome-out", str(chrome),
-            "--events-out", str(events),
         ]
     )
     assert code == 0
@@ -225,9 +207,6 @@ def test_explain_from_files_with_artifacts(tmp_path, capsys):
     assert "wrote chrome trace" in out
     doc = json.loads(chrome.read_text())
     assert validate_chrome_trace(doc) == []
-    from repro.obs.events import parse_jsonl
-
-    assert parse_jsonl(events.read_text())
 
 
 def test_explain_requires_exactly_one_source(tmp_path, capsys):
@@ -240,29 +219,6 @@ def test_explain_requires_exactly_one_source(tmp_path, capsys):
     assert main(["explain", "--tuples", str(tuples)]) == 2
     err = capsys.readouterr().err
     assert "exactly one" in err and "--queries" in err
-
-
-def test_stats_prom_format(capsys):
-    assert main(["stats", "--format", "prom"]) == 0
-    out = capsys.readouterr().out
-    assert "# TYPE" in out and "# HELP" in out
-    assert 'smoke_total_pages{structure="dual"' in out
-
-
-def test_bench_diff_subcommand_exit_codes(tmp_path, capsys):
-    import json
-
-    base = tmp_path / "base.json"
-    cur = tmp_path / "cur.json"
-    base.write_text(json.dumps({"counters": {"pages": 10}}))
-    cur.write_text(json.dumps({"counters": {"pages": 10}}))
-    assert main(["bench-diff", str(base), str(cur)]) == 0
-    cur.write_text(json.dumps({"counters": {"pages": 12}}))
-    assert main(["bench-diff", str(base), str(cur)]) == 1
-    assert main(
-        ["bench-diff", str(base), str(cur), "--threshold", "0.5"]
-    ) == 0
-    capsys.readouterr()
 
 
 def test_save_open_round_trip(tmp_path, capsys):

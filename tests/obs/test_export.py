@@ -1,16 +1,8 @@
-"""Chrome trace export and JSONL event-ring tests (schema round-trips)."""
+"""Chrome trace export tests (schema round-trips)."""
 
 import json
 
-import pytest
-
 from repro.obs import QueryTrace, tracing
-from repro.obs.events import (
-    EventLog,
-    log_trace,
-    parse_jsonl,
-    validate_event,
-)
 from repro.obs.export import (
     chrome_trace,
     validate_chrome_trace,
@@ -105,59 +97,3 @@ class TestChromeTrace:
         on_disk = json.loads(path.read_text())
         assert on_disk == json.loads(json.dumps(doc))
         assert validate_chrome_trace(on_disk) == []
-
-
-class TestEventLog:
-    def test_emit_and_envelope(self):
-        log = EventLog(capacity=8)
-        ev = log.emit("span", "fetch", pages=3)
-        assert validate_event(ev) == []
-        assert ev["seq"] == 0 and ev["data"] == {"pages": 3}
-        assert len(log) == 1 and log.dropped == 0
-
-    def test_ring_is_bounded_and_tracks_drops(self):
-        log = EventLog(capacity=3)
-        for i in range(10):
-            log.emit("tick", f"e{i}")
-        assert len(log) == 3
-        assert log.dropped == 7
-        assert [e["name"] for e in log] == ["e7", "e8", "e9"]
-        # seq keeps counting monotonically across drops
-        assert [e["seq"] for e in log] == [7, 8, 9]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
-
-    def test_jsonl_round_trip(self, tmp_path):
-        log = EventLog()
-        log.emit("span", "query", pages=5, meta={"type": "EXIST"})
-        log.emit("span", "fetch", pages=2)
-        text = log.to_jsonl()
-        # every line is strict JSON
-        lines = text.splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            json.loads(line)
-        events = parse_jsonl(text)
-        assert events == list(log)
-        path = tmp_path / "events.jsonl"
-        assert log.write_jsonl(str(path)) == 2
-        assert parse_jsonl(path.read_text()) == list(log)
-
-    def test_parse_jsonl_rejects_bad_events(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_jsonl('{"kind": "span"}')
-        with pytest.raises(ValueError):
-            parse_jsonl('{"seq": "x", "kind": "k", "name": "n", "data": {}}')
-
-    def test_log_trace_one_event_per_span(self):
-        trace = traced_workload()
-        root = trace.close()
-        log = EventLog()
-        count = log_trace(log, root)
-        assert count == sum(1 for _ in root.walk()) == len(log)
-        total = next(iter(log))["data"]["pages_inclusive"]
-        assert total == root.inclusive_pages()
-        # the dump re-validates end to end
-        assert parse_jsonl(log.to_jsonl()) == list(log)
