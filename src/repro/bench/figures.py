@@ -93,16 +93,27 @@ def render_figure(
     title: str,
     series: list[FigureSeries],
     metric: str = "index_accesses",
+    extra: str | None = None,
 ) -> str:
-    """ASCII rendering of a figure: one row per N, one column per line."""
+    """ASCII rendering of a figure: one row per N, one column per line.
+
+    ``extra`` names a second metric shown in its own column after each
+    line that has a non-zero value of it (e.g. ``summary_pages``, the
+    summary-file share of ``total_accesses``).
+    """
     ns = sorted({n for line in series for n in line.points})
-    headers = ["N"] + [line.label for line in series]
+    columns = []
+    for line in series:
+        columns.append((line, metric, line.label))
+        if extra and any(getattr(s, extra) for s in line.points.values()):
+            columns.append((line, extra, f"{line.label} ({extra})"))
+    headers = ["N"] + [label for _line, _metric, label in columns]
     rows = []
     for n in ns:
         row = [n]
-        for line in series:
+        for line, name, _label in columns:
             stats = line.points.get(n)
-            row.append(getattr(stats, metric) if stats else float("nan"))
+            row.append(getattr(stats, name) if stats else float("nan"))
         rows.append(row)
     return harness.format_table(title, headers, rows)
 
@@ -116,6 +127,8 @@ class SpaceRow:
     pages: int
     bytes: int
     ratio_to_rplus: float
+    #: Pages of the dual summary file (outside the index pages above).
+    summary_pages: int = 0
 
 
 def figure_10(
@@ -139,8 +152,8 @@ def figure_10(
             SpaceRow(n, "R+-tree", rp_pages, rp_pages * page_size, 1.0)
         )
         for k in k_values:
-            planner = harness.dual_planner(n, size, k)
-            pages = planner.index.space().tree_pages
+            space = harness.dual_planner(n, size, k).index.space()
+            pages = space.tree_pages
             rows.append(
                 SpaceRow(
                     n,
@@ -148,6 +161,7 @@ def figure_10(
                     pages,
                     pages * page_size,
                     pages / rp_pages if rp_pages else float("nan"),
+                    space.summary_pages,
                 )
             )
     return rows
@@ -155,12 +169,13 @@ def figure_10(
 
 def render_figure_10(rows: list[SpaceRow]) -> str:
     table_rows = [
-        [r.n, r.structure, r.pages, r.bytes, round(r.ratio_to_rplus, 2)]
+        [r.n, r.structure, r.pages, r.bytes, round(r.ratio_to_rplus, 2),
+         r.summary_pages]
         for r in rows
     ]
     return harness.format_table(
         "Figure 10 — disk space",
-        ["N", "structure", "pages", "bytes", "ratio vs R+"],
+        ["N", "structure", "pages", "bytes", "ratio vs R+", "summary pages"],
         table_rows,
     )
 

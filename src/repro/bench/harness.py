@@ -139,7 +139,8 @@ class QueryBatchStats:
     The per-phase page columns come from :mod:`repro.obs` traces:
     ``measure`` runs every query under a :class:`~repro.obs.QueryTrace`
     and buckets logical page accesses by the innermost span's phase
-    (descend / sweep / fetch — ``plan`` and ``verify`` touch no pages).
+    (descend / sweep / fetch — ``plan`` and ``verify`` touch no pages;
+    the T1/T2 ``settle`` phase's summary reads are ``summary_pages``).
     When a trace is already active (a caller is recording), the batch
     reuses it and the phase columns stay zero rather than double-charge.
     """
@@ -150,6 +151,9 @@ class QueryBatchStats:
     false_hits: float = 0.0
     duplicates: float = 0.0
     results: float = 0.0
+    #: The part of ``total_accesses`` that read dual summaries (T1/T2
+    #: settle step; 0 for structures without a summary file).
+    summary_pages: float = 0.0
     descend_pages: float = 0.0
     sweep_pages: float = 0.0
     fetch_pages: float = 0.0
@@ -173,6 +177,7 @@ class QueryBatchStats:
                     res.false_hits,
                     res.duplicates,
                     len(res.ids),
+                    res.summary_pages,
                 )
             )
             span = getattr(res, "trace", None)

@@ -8,7 +8,7 @@ accesses*, into a :class:`~repro.obs.MetricsRegistry`:
 * ``smoke_index_pages{structure,type}`` — index-structure accesses;
 * ``smoke_total_pages{structure,type}`` — including refinement fetches;
 * ``smoke_phase_pages{structure,type,phase}`` — per-phase split from
-  the query traces (descend / sweep / fetch);
+  the query traces (descend / sweep / settle / fetch);
 * ``smoke_results{structure,type}`` — answer sizes (a correctness
   canary: a perf "win" that changes answers is a bug);
 * ``smoke_query_seconds{structure}`` — wall-time histogram. Timings are
@@ -63,7 +63,7 @@ def default_baseline() -> str:
     return DEFAULT_BASELINE
 
 #: Phases whose page counts the registry splits out.
-PHASES = ("descend", "sweep", "fetch")
+PHASES = ("descend", "sweep", "settle", "fetch")
 
 
 def run_smoke(
@@ -133,11 +133,11 @@ def run_smoke(
                 results.labels(structure=name, type=qtype).inc(len(res.ids))
                 phases = res.trace.phase_pages()
                 for phase in PHASES:
-                    count = phases.get(phase, 0)
-                    if count:
+                    pages = phases.get(phase, 0)
+                    if pages:
                         phase_pages.labels(
                             structure=name, type=qtype, phase=phase
-                        ).inc(count)
+                        ).inc(pages)
     _run_batch_leg(registry, structures[0][1], n, size, k, count)
     if shards > 1:
         _run_shard_leg(registry, n, size, k, count, shards)

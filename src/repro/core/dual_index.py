@@ -39,6 +39,8 @@ from repro.obs import trace as obs
 from repro.storage.heap import HeapFile
 from repro.storage.pager import Pager
 from repro.storage.serialize import KeyCodec, decode_tuple, encode_tuple
+from repro.storage.summary import SummaryFile
+from repro.core.settle import summary_rows, summary_width
 from repro.core.slope_set import SlopeSet
 
 #: Leaf aux slot layout.
@@ -66,13 +68,16 @@ class EntryKeys:
 
     ``top``/``bot`` are the tree keys per slope; ``assign_top``/
     ``assign_bot`` are the strip assignment keys per (slope, side) —
-    ``None`` when the slope has no neighbour on that side.
+    ``None`` when the slope has no neighbour on that side. ``summary``
+    is the tuple's dual summary record (:func:`summary_rows`), when the
+    keys came from the vectorized pass.
     """
 
     top: list[float]
     bot: list[float]
     assign_top: list[dict[str, float | None]]
     assign_bot: list[dict[str, float | None]]
+    summary: "np.ndarray | None" = None
 
 
 def needed_slopes(slopes: SlopeSet) -> list[float]:
@@ -122,6 +127,7 @@ def compute_keys_batch(
     probe = needed_slopes(slopes)
     tops = {s: surface.top_at(s).tolist() for s in probe}
     bots = {s: surface.bot_at(s).tolist() for s in probe}
+    summaries = summary_rows(surface, slopes)
     strips = [
         {side: slopes.strip(i, side) for side in _SIDES}
         for i in range(len(slopes))
@@ -150,6 +156,7 @@ def compute_keys_batch(
             [bots[s][row] for s in slopes],
             assign_top,
             assign_bot,
+            summaries[row],
         )
     return result
 
@@ -199,6 +206,8 @@ class IndexSpace:
     tree_pages: int
     directory_pages: int
     heap_pages: int
+    #: Pages of the per-tuple dual summary file (the settle step's).
+    summary_pages: int = 0
 
     @property
     def index_pages(self) -> int:
@@ -207,7 +216,10 @@ class IndexSpace:
 
     @property
     def total_pages(self) -> int:
-        return self.tree_pages + self.directory_pages + self.heap_pages
+        return (
+            self.tree_pages + self.directory_pages + self.heap_pages
+            + self.summary_pages
+        )
 
 
 class DualIndex:
@@ -252,7 +264,8 @@ class DualIndex:
         Capacity of the :class:`KeysLRU` catalog key cache. Eviction is
         answer-preserving (evicted keys are re-derived from the heap
         record on demand); the bound keeps memory flat under sustained
-        update traffic.
+        update traffic. A static build leaves it empty: only dynamic
+        handicap maintenance reads keys often.
     """
 
     def __init__(
@@ -271,6 +284,11 @@ class DualIndex:
         self.name = name
         self.heap = HeapFile(self.pager)
         k = len(self.slopes)
+        # Per-tuple dual summaries beside the heap, read by the T1/T2
+        # settle step (repro.core.settle) instead of the records.
+        self.summaries = SummaryFile(
+            self.pager, summary_width(k), self.codec.key_bytes
+        )
         self.up = [
             BPlusTree(self.pager, self.codec, AUX_SLOTS, f"{name}.up[{i}]")
             for i in range(k)
@@ -357,14 +375,14 @@ class DualIndex:
     # bulk build
     # ------------------------------------------------------------------
     def build(self, relation: GeneralizedRelation, fill: float = 0.9) -> None:
-        """Index a whole relation: heap records, 2k bulk-loaded trees,
-        one merge pass of handicap aggregates, and (in dynamic mode) the
-        handicap directories. Unsatisfiable tuples are skipped and listed
-        in :attr:`skipped`.
+        """Index a whole relation: heap records with their dual
+        summaries, 2k bulk-loaded trees, one merge pass of handicap
+        aggregates, and (in dynamic mode) the handicap directories.
+        Unsatisfiable tuples are skipped and listed in :attr:`skipped`.
 
-        Keys come from :func:`compute_keys_batch` — one vectorized pass
-        per probe slope over the whole relation, bit-identical to
-        :meth:`compute_keys` per tuple.
+        Keys and summaries come from :func:`compute_keys_batch` — one
+        vectorized pass per probe slope over the whole relation,
+        bit-identical to :meth:`compute_keys` per tuple.
         """
         if self.size:
             raise IndexError_("build on a non-empty index")
@@ -406,16 +424,22 @@ class DualIndex:
                 cluster_key = math.copysign(1e30, cluster_key)
             staged.append((cluster_key, tid, t, entry))
         staged.sort(key=lambda item: item[0])
+        rids: list[int] = []
         for _cluster_key, tid, t, entry in staged:
             rid = self.heap.insert(encode_tuple(tid, t))
+            rids.append(rid)
             self.rid_of[tid] = rid
             self.tid_of[rid] = tid
             keys_by_rid[rid] = entry
-            self.keys_cache[rid] = entry
+            if self.dynamic:
+                # Only handicap maintenance reads keys often; a static
+                # index's rare delete re-derives them from the record.
+                self.keys_cache[rid] = entry
             for i in range(k):
                 up_entries[i].append((entry.top[i], rid))
                 down_entries[i].append((entry.bot[i], rid))
             self.size += 1
+        self.summaries.write(rids, self._staged_summaries(staged))
         for i in range(k):
             self.up[i].bulk_load(up_entries[i], fill)
             self.down[i].bulk_load(down_entries[i], fill)
@@ -423,6 +447,23 @@ class DualIndex:
         if self.dynamic:
             self._bulk_load_directories(keys_by_rid, fill)
         self.version += 1
+
+    def _staged_summaries(self, staged: list) -> np.ndarray:
+        """Summary rows of staged tuples, in staging order: the ones the
+        vectorized key pass attached, the rest derived in one more
+        surface pass (keys computed one tuple at a time carry none)."""
+        summaries = [entry.summary for _key, _tid, _t, entry in staged]
+        missing = [n for n, row in enumerate(summaries) if row is None]
+        if missing:
+            rows = summary_rows(
+                DualSurface.from_items(
+                    (staged[n][1], staged[n][2]) for n in missing
+                ),
+                self.slopes,
+            )
+            for n, row in zip(missing, rows):
+                summaries[n] = row
+        return np.stack(summaries) if summaries else np.empty((0, 0))
 
     def _bulk_load_directories(
         self, keys_by_rid: dict[int, EntryKeys], fill: float
@@ -565,13 +606,15 @@ class DualIndex:
         (write-deferred maintenance). The batch path (exact merged
         sweeps and the vector scan) reads no handicap, so it needs no
         refresh; a built :meth:`surface` gets the tuple's rows
-        appended. An unsatisfiable tuple is rejected before anything
-        is touched.
+        appended, and the summary file the tuple's summary record. An
+        unsatisfiable tuple is rejected before anything is touched.
         """
         if tid in self.rid_of:
             raise IndexError_(f"tuple id {tid} already indexed")
         keys = self.compute_keys(t)
         rid = self.heap.insert(encode_tuple(tid, t))
+        piece = DualSurface([tid], [t])
+        self.summaries.write([rid], summary_rows(piece, self.slopes))
         self.rid_of[tid] = rid
         self.tid_of[rid] = tid
         self.keys_cache[rid] = keys
@@ -605,13 +648,13 @@ class DualIndex:
                         max(hi, tree.quantize(a_top)),
                     )
         if self._surface is not None:
-            self._surface.insert(tid, t)
+            self._surface.append(piece)
         self.size += 1
         self.version += 1
 
     def delete(self, tid: int) -> None:
-        """Remove a tuple from trees, directories, the heap and a built
-        :meth:`surface`."""
+        """Remove a tuple from trees, directories, the heap, the summary
+        file (its record becomes NaN) and a built :meth:`surface`."""
         rid = self.rid_of.pop(tid, None)
         if rid is None:
             raise IndexError_(f"tuple id {tid} is not indexed")
@@ -639,6 +682,7 @@ class DualIndex:
                     self._invalidate_owner(self.down[i], a_top)
                     self._invalidate_owner(self.down[i], a_bot)
         self.heap.delete(rid)
+        self.summaries.clear(rid)
         if self._surface is not None:
             self._surface.delete(tid)
         self.size -= 1
@@ -673,7 +717,8 @@ class DualIndex:
         Page images live in the pager; this payload is everything else a
         restored process needs: configuration (slopes, key width,
         dynamic flag), the tuple↔RID catalog, per-tree shape state, heap
-        bookkeeping, and the assignment-key extrema. Deliberately *not*
+        and summary-file bookkeeping, and the assignment-key extrema.
+        Deliberately *not*
         persisted: ``keys_cache`` (re-derived from heap records on
         miss), the lazy rid/tid LUTs (rebuilt on version) and the dual
         surface (rebuilt on first use).
@@ -693,6 +738,7 @@ class DualIndex:
                 in sorted(self.assign_extrema.items())
             ],
             "heap": self.heap.state_payload(),
+            "summaries": self.summaries.state_payload(),
             "trees": {t.name: t.state_payload() for t in self.all_trees()},
         }
 
@@ -709,6 +755,10 @@ class DualIndex:
             for name, side, lo, hi in payload["assign_extrema"]
         }
         self.heap.restore_state(payload["heap"])
+        # A catalog without summaries (written before the file existed)
+        # leaves it empty: every candidate then goes to refinement.
+        if "summaries" in payload:
+            self.summaries.restore_state(payload["summaries"])
         trees = payload["trees"]
         for tree in self.all_trees():
             tree.restore_state(trees[tree.name])
@@ -737,7 +787,10 @@ class DualIndex:
         for per_slope in (self.dir_top, self.dir_bot):
             for sides in per_slope:
                 dir_pages += sum(t.page_count for t in sides.values())
-        return IndexSpace(tree_pages, dir_pages, self.heap.page_count)
+        return IndexSpace(
+            tree_pages, dir_pages, self.heap.page_count,
+            self.summaries.page_count,
+        )
 
     def fetch_tuple(self, rid: int) -> tuple[int, GeneralizedTuple]:
         """Fetch and decode a record (one counted page read)."""
@@ -787,10 +840,13 @@ class DualIndex:
         candidate sweep can never drop a qualifying tuple; the refinement
         step discards the handful of extra candidates.
         """
-        scale = max(1.0, abs(value))
-        if self.codec.key_bytes == 4:
-            return 1e-5 * scale
-        return 1e-8 * scale
+        return self.margin_scale * max(1.0, abs(value))
+
+    @property
+    def margin_scale(self) -> float:
+        """The relative widening behind :meth:`margin` (float32 keys
+        round at about 6e-8 relative; 1e-5 leaves ample room)."""
+        return 1e-5 if self.codec.key_bytes == 4 else 1e-8
 
     def trees_for(self, query_type: str, theta) -> tuple[list[BPlusTree], bool]:
         """Route a (type, θ) pair to its tree family and sweep direction.

@@ -15,6 +15,12 @@ decoded candidates' geometry is settled in one batched warm-up
 against the exact ALL/EXIST predicate, so the final answer always
 equals the oracle's. The R-tree and d-dimensional planners refine
 through the same function.
+
+T1 and T2 candidates are *settled* first (:mod:`repro.core.settle`):
+their dual summaries are read from the index's summary file (one
+counted page access per distinct summary page), definite hits are
+accepted and definite misses dropped in one numpy pass, and only the
+band between the bounds is refined.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.core.approx_t1 import t1_candidates
 from repro.core.approx_t2 import t2_candidates
 from repro.core.dual_index import DualIndex
 from repro.core.query import ALL, EXIST, HalfPlaneQuery, QueryResult
+from repro.core.settle import settle
 from repro.core.slope_set import SLOPE_TOL, SlopeSet
 from repro.errors import QueryError
 from repro.obs import slopelog
@@ -276,22 +283,46 @@ class DualIndexPlanner:
 
     def _t1_path(self, query: HalfPlaneQuery) -> QueryResult:
         rids, duplicates = t1_candidates(self.index, query, self.pivot_x)
-        result = QueryResult(technique="T1")
-        result.candidates = len(rids)
-        result.duplicates = duplicates
-        result.ids, result.false_hits, result.refinement_pages = (
-            refine_candidates(self.index.heap, query, rids)
-        )
+        result = QueryResult(technique="T1", duplicates=duplicates)
+        self._settle_and_refine(query, rids, result)
         return result
 
     def _t2_path(self, query: HalfPlaneQuery) -> QueryResult:
         trace = t2_candidates(self.index, query)
         result = QueryResult(technique="T2")
-        result.candidates = len(trace.candidates)
-        result.ids, result.false_hits, result.refinement_pages = (
-            refine_candidates(self.index.heap, query, trace.candidates)
-        )
+        self._settle_and_refine(query, trace.candidates, result)
         return result
+
+    def _settle_and_refine(
+        self, query: HalfPlaneQuery, rids: set[int], result: QueryResult
+    ) -> None:
+        """Settle the candidates from their summaries, refine the band.
+
+        Summary pages count as refinement pages (the candidate check's
+        I/O, outside the index accesses of Theorems 4.1/4.2); settled
+        hits count as accepted without refinement and settled misses as
+        false hits.
+        """
+        index = self.index
+        candidates = np.fromiter(rids, dtype=np.int64, count=len(rids))
+        with obs.span("settle"):
+            rows, summary_pages = index.summaries.read(candidates)
+            hit, miss = settle(rows, index.slopes, query, index.margin_scale)
+            obs.incr("refine.settled_hits", int(hit.sum()))
+            obs.incr("refine.settled_misses", int(miss.sum()))
+        band = candidates[~(hit | miss)]
+        confirmed, false_hits, heap_pages = refine_candidates(
+            index.heap, query, band.tolist()
+        )
+        # The catalog's own tid objects: a retained answer costs its set
+        # table only, not one fresh int per member.
+        confirmed.update(map(index.tid_of.__getitem__, candidates[hit].tolist()))
+        result.ids = confirmed
+        result.candidates = int(candidates.size)
+        result.accepted_without_refinement = int(hit.sum())
+        result.false_hits = int(miss.sum()) + false_hits
+        result.summary_pages = summary_pages
+        result.refinement_pages = summary_pages + heap_pages
 
     def _has_dirty_leaves(self) -> bool:
         return any(

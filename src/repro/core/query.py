@@ -176,6 +176,7 @@ class QueryResult:
         "duplicates",
         "accepted_without_refinement",
         "refinement_pages",
+        "summary_pages",
         "cached",
         "io",
         "trace",
@@ -204,6 +205,9 @@ class QueryResult:
         self.duplicates = duplicates
         self.accepted_without_refinement = accepted_without_refinement
         self.refinement_pages = refinement_pages
+        #: The part of ``refinement_pages`` that read the dual summary
+        #: file (the T1/T2 settle step); the rest are heap pages.
+        self.summary_pages = 0
         #: True when a batch executor served this answer from its result
         #: cache (the counts above describe the original execution; ``io``
         #: is zero — a cache hit touches no pages).

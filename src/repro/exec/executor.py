@@ -146,6 +146,9 @@ class BatchExecutor:
         self.cache = QueryResultCache(cache_size)
         self.registry = registry if registry is not None else get_registry()
         self._io_lock = threading.Lock()
+        #: ``exec_*`` metric handles, bound once per registry generation.
+        self._handles: tuple = ()
+        self._handles_generation = -1
 
     # ------------------------------------------------------------------
     # public API
@@ -389,25 +392,29 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     def _record_metrics(self, batch: BatchResult | ShardPartials) -> None:
         reg = self.registry
-        reg.counter("exec_batches", "Batches executed").inc()
-        reg.counter("exec_batch_queries", "Queries answered in batches").inc(
-            len(batch)
-        )
-        reg.counter("exec_cache_hits", "Batch result-cache hits").inc(
-            batch.cache_hits
-        )
-        reg.counter("exec_cache_misses", "Batch result-cache misses").inc(
-            batch.cache_misses
-        )
-        reg.counter("exec_merged_sweeps", "Merged multi-key sweeps").inc(
-            batch.exact_groups
-        )
-        reg.counter(
-            "exec_vector_passes", "Vectorized dual-surface slope groups"
-        ).inc(batch.vector_groups)
-        reg.gauge("exec_cache_entries", "Resident cached results").set(
-            len(self.cache)
-        )
+        if self._handles_generation != reg.generation:
+            # Looked up by name once, again only after a reset() dropped
+            # the registered metrics.
+            self._handles = (
+                reg.counter("exec_batches", "Batches executed"),
+                reg.counter("exec_batch_queries", "Queries answered in batches"),
+                reg.counter("exec_cache_hits", "Batch result-cache hits"),
+                reg.counter("exec_cache_misses", "Batch result-cache misses"),
+                reg.counter("exec_merged_sweeps", "Merged multi-key sweeps"),
+                reg.counter(
+                    "exec_vector_passes", "Vectorized dual-surface slope groups"
+                ),
+                reg.gauge("exec_cache_entries", "Resident cached results"),
+            )
+            self._handles_generation = reg.generation
+        batches, queries, hits, misses, sweeps, passes, entries = self._handles
+        batches.inc()
+        queries.inc(len(batch))
+        hits.inc(batch.cache_hits)
+        misses.inc(batch.cache_misses)
+        sweeps.inc(batch.exact_groups)
+        passes.inc(batch.vector_groups)
+        entries.set(len(self.cache))
 
     def __repr__(self) -> str:
         return (

@@ -163,7 +163,10 @@ class DualSurface:
         Every value read back by tid equals a :meth:`from_items`
         rebuild's: a row's value depends on its own rows only.
         """
-        piece = DualSurface([tid], [t])
+        self.append(DualSurface([tid], [t]))
+
+    def append(self, piece: "DualSurface") -> None:
+        """Append every row of another surface (whose tids are new)."""
         row, base = len(self), self._vx.size
         self.tids = np.append(self.tids, piece.tids)
         self._vx = np.append(self._vx, piece._vx)
@@ -253,6 +256,51 @@ class DualSurface:
             assert exact is not None
             values[row] = exact
         return values
+
+    # ------------------------------------------------------------------
+    # support vertices and extents (the per-tuple dual summaries)
+    # ------------------------------------------------------------------
+    def supports(self, slopes: Sequence[float]) -> list[np.ndarray]:
+        """``[TOP, TOP x, BOT, BOT x]``, each ``(len(self), len(slopes))``:
+        the vertex maximum of ``TOP`` (minimum of ``BOT``) at each slope
+        and the x of the first vertex attaining it — the support vertex,
+        whose dual line ``TOP(s) + (s - a)·x`` bounds ``TOP(a)`` from
+        below (``BOT(a)`` from above) at every ``a``.
+
+        Values are bit-identical to :meth:`top_at`/:meth:`bot_at` for
+        bounded tuples with a vertex; rays and vertex-free rows (their
+        placeholder vertex) are not applied here.
+        """
+        s = np.asarray(slopes, dtype=np.float64)
+        vx, vy = self._vx[:, None], self._vy[:, None]
+        sizes = np.diff(self._starts, append=self._vx.size)
+        owner = np.repeat(np.arange(len(self)), sizes)
+        index = np.arange(self._vx.size)[:, None]
+        out = []
+        # TOP uses c = (-s, 1) and BOT c = (s, -1), negated afterwards,
+        # exactly as _evaluate does.
+        for sign in (1.0, -1.0):
+            contrib = (-s) * vx + vy if sign > 0 else s * vx - vy
+            peak = np.maximum.reduceat(contrib, self._starts, axis=0)
+            at = np.where(contrib == peak[owner], index, self._vx.size)
+            first = np.minimum.reduceat(at, self._starts, axis=0)
+            out += [sign * peak, self._vx[first]]
+        return out
+
+    def x_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-tuple ``(min x, max x)`` over the vertices."""
+        return (
+            np.minimum.reduceat(self._vx, self._starts),
+            np.maximum.reduceat(self._vx, self._starts),
+        )
+
+    def bounded_rows(self) -> np.ndarray:
+        """Mask of the tuples that are bounded and have a vertex: the
+        ones whose vertices alone determine ``TOP``/``BOT``."""
+        mask = np.ones(len(self), dtype=bool)
+        mask[self._ray_owner] = False
+        mask[[row for row, _t in self._fallback]] = False
+        return mask
 
     # ------------------------------------------------------------------
     # Proposition 2.2 answers

@@ -212,6 +212,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
+        #: Bumped by :meth:`reset`: a caller holding metric handles
+        #: rebinds them when it changes.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # registration
@@ -386,6 +389,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every metric (test isolation)."""
         self._metrics.clear()
+        self.generation += 1
 
 
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")

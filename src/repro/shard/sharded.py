@@ -197,13 +197,14 @@ class ShardedDualIndex:
 
     def space(self) -> IndexSpace:
         """Summed page breakdown across all shards."""
-        tree = directory = heap = 0
+        tree = directory = heap = summary = 0
         for p in self.planners:
             s = p.index.space()
             tree += s.tree_pages
             directory += s.directory_pages
             heap += s.heap_pages
-        return IndexSpace(tree, directory, heap)
+            summary += s.summary_pages
+        return IndexSpace(tree, directory, heap, summary)
 
     # ------------------------------------------------------------------
     # queries
@@ -324,5 +325,6 @@ def _merge_query_results(partials: Sequence[QueryResult]) -> QueryResult:
         merged.duplicates += part.duplicates
         merged.accepted_without_refinement += part.accepted_without_refinement
         merged.refinement_pages += part.refinement_pages
+        merged.summary_pages += part.summary_pages
     merged.io = sum((part.io for part in partials), IOStats())
     return merged

@@ -12,7 +12,8 @@ Checkers
   (delegates to :meth:`BPlusTree.check_invariants`), plus dirty-leaf
   bookkeeping.
 * :func:`check_dual_index` — per-tree invariants for all 2k trees, the
-  tuple-id ↔ RID catalog bijection, and per-tree entry counts.
+  tuple-id ↔ RID catalog bijection, per-tree entry counts, and a
+  summary file equal to one derived afresh from the heap records.
 * :func:`check_envelopes` — TOP^P convexity and BOT^P concavity of the
   dual profiles (the shape facts Section 2.1 proves and the handicap
   machinery relies on), plus TOP ≥ BOT across the finite domain.
@@ -24,11 +25,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.btree.tree import BPlusTree
 from repro.constraints.tuples import GeneralizedTuple
+from repro.core.settle import summary_rows
 from repro.errors import IndexError_, VerificationError
 from repro.geometry import dual
+from repro.geometry.vectorized import DualSurface
 from repro.storage.buffer import BufferPool
+from repro.storage.serialize import decode_tuple
 
 #: Slack for piecewise-slope monotonicity comparisons (profiles are
 #: built from exact vertex arithmetic; this absorbs only float noise).
@@ -69,6 +75,30 @@ def check_dual_index(index) -> None:
                 f"catalog not a bijection: tid {tid} -> rid {rid} -> "
                 f"tid {index.tid_of.get(rid)!r}"
             )
+    _check_summaries(index)
+
+
+def _check_summaries(index) -> None:
+    """Every live record's summary equals one derived from the record."""
+    records = [(rid, decode_tuple(data)) for rid, data in index.heap.scan()]
+    if not records:
+        return
+    dtype = index.summaries.dtype
+    with np.errstate(over="ignore"):
+        want = summary_rows(
+            DualSurface.from_items(item for _rid, item in records),
+            index.slopes,
+        ).astype(dtype)
+    got, _pages = index.summaries.read([rid for rid, _item in records])
+    stale = ~(
+        (got.astype(dtype) == want) | (np.isnan(got) & np.isnan(want))
+    ).all(axis=1)
+    if stale.any():
+        rid, (tid, _t) = records[int(np.flatnonzero(stale)[0])]
+        raise VerificationError(
+            f"summary of tuple {tid} (rid {rid}) differs from one derived "
+            f"from its record ({int(stale.sum())} stale summaries)"
+        )
 
 
 def check_envelopes(t: GeneralizedTuple, samples: int = 5) -> None:

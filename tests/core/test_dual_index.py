@@ -175,8 +175,9 @@ class TestSpace:
         )
         assert space.directory_pages == 0  # static build
         assert space.heap_pages == index.heap.page_count
+        assert space.summary_pages == index.summaries.page_count > 0
         assert space.total_pages == (
-            space.tree_pages + space.heap_pages
+            space.tree_pages + space.heap_pages + space.summary_pages
         )
 
     def test_dynamic_mode_has_directories(self, small_relation):

@@ -159,3 +159,26 @@ def test_mixed_batch_of_hits_duplicates_and_fresh_queries():
     ]
     for query, res in zip(batch, result.results):
         assert res.ids == planner.query(query).ids, query
+
+
+def test_metrics_advance_across_registry_reset():
+    """Metric handles are bound once; a reset() between two batches
+    drops them, and the next batch counts into the fresh registry."""
+    from repro.obs.metrics import MetricsRegistry
+
+    planner = _setup()["planner"]
+    registry = MetricsRegistry()
+    executor = BatchExecutor(planner, registry=registry)
+    executor.execute([HalfPlaneQuery(EXIST, 0.0, 2.0, ">=")])
+    assert registry.counter("exec_batches").value == 1
+    registry.reset()
+    executor.execute([
+        HalfPlaneQuery(EXIST, 0.0, 3.0, ">="),
+        HalfPlaneQuery(ALL, 0.0, 3.0, ">="),
+    ])
+    assert registry.counter("exec_batches").value == 1
+    assert registry.counter("exec_batch_queries").value == 2
+    assert registry.counter("exec_cache_misses").value == 2
+    executor.execute([HalfPlaneQuery(EXIST, 0.0, 3.0, ">=")])
+    assert registry.counter("exec_batches").value == 2
+    assert registry.counter("exec_cache_hits").value == 1

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.constraints import GeneralizedTuple, parse_tuple
@@ -87,3 +88,20 @@ class TestCorruptionDetected:
                 check_buffer_pool(pool)
         finally:
             pool._dirty.discard(99999)
+
+
+def test_stale_summary_detected():
+    """A summary out of step with its heap record fails the check."""
+    from repro.workloads import make_relation
+
+    planner = DualIndexPlanner.build(
+        make_relation(30, "small", seed=2), SlopeSet.uniform_angles(3)
+    )
+    index = planner.index
+    check_dual_index(index)
+    rid = next(iter(index.tid_of))
+    rows, _pages = index.summaries.read([rid])
+    rows[0, 0] += 1.0
+    index.summaries._store(index.summaries.slots_for(np.asarray([rid])), rows)
+    with pytest.raises(VerificationError, match="summary of tuple"):
+        check_dual_index(index)
