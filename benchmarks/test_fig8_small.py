@@ -63,7 +63,6 @@ def test_fig8a_exist(benchmark, exist_series):
             "(total accesses incl. refinement)",
             exist_series,
             metric="total_accesses",
-            extra="summary_pages",
         ),
         save_as="fig8a_exist_small_total.txt",
     )
@@ -96,7 +95,6 @@ def test_fig8b_all(benchmark, all_series, exist_series):
             "(total accesses incl. refinement)",
             all_series,
             metric="total_accesses",
-            extra="summary_pages",
         ),
         save_as="fig8b_all_small_total.txt",
     )

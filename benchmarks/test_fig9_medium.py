@@ -82,7 +82,6 @@ def test_fig9b_all(benchmark, all_series):
             "(total accesses incl. refinement)",
             all_series,
             metric="total_accesses",
-            extra="summary_pages",
         ),
         save_as="fig9b_all_medium_total.txt",
     )

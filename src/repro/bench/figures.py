@@ -93,20 +93,21 @@ def render_figure(
     title: str,
     series: list[FigureSeries],
     metric: str = "index_accesses",
-    extra: str | None = None,
 ) -> str:
     """ASCII rendering of a figure: one row per N, one column per line.
 
-    ``extra`` names a second metric shown in its own column after each
-    line that has a non-zero value of it (e.g. ``summary_pages``, the
-    summary-file share of ``total_accesses``).
+    A ``total_accesses`` figure adds a ``summary_pages`` column (the
+    summary-file share of the total) after each line that reads any.
     """
     ns = sorted({n for line in series for n in line.points})
     columns = []
     for line in series:
         columns.append((line, metric, line.label))
-        if extra and any(getattr(s, extra) for s in line.points.values()):
-            columns.append((line, extra, f"{line.label} ({extra})"))
+        if metric == "total_accesses" and any(
+            s.summary_pages for s in line.points.values()
+        ):
+            label = f"{line.label} (summary_pages)"
+            columns.append((line, "summary_pages", label))
     headers = ["N"] + [label for _line, _metric, label in columns]
     rows = []
     for n in ns:

@@ -8,7 +8,14 @@ from repro.core.ddim import DDimDualIndex, DDimPlanner, SlopePointSet
 from repro.core.approx_t2 import T2Trace, t2_candidates
 from repro.core.dual_index import DualIndex, EntryKeys, IndexSpace
 from repro.core.planner import DualIndexPlanner
-from repro.core.query import ALL, EXIST, AppQuery, HalfPlaneQuery, QueryResult
+from repro.core.query import (
+    ALL,
+    EXIST,
+    AnswerSet,
+    AppQuery,
+    HalfPlaneQuery,
+    QueryResult,
+)
 from repro.core.slope_set import NeighbourInfo, SlopeCase, SlopeSet
 
 __all__ = [
@@ -20,6 +27,7 @@ __all__ = [
     "HalfPlaneQuery",
     "AppQuery",
     "QueryResult",
+    "AnswerSet",
     "ALL",
     "EXIST",
     "EntryKeys",

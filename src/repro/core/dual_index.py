@@ -68,16 +68,13 @@ class EntryKeys:
 
     ``top``/``bot`` are the tree keys per slope; ``assign_top``/
     ``assign_bot`` are the strip assignment keys per (slope, side) —
-    ``None`` when the slope has no neighbour on that side. ``summary``
-    is the tuple's dual summary record (:func:`summary_rows`), when the
-    keys came from the vectorized pass.
+    ``None`` when the slope has no neighbour on that side.
     """
 
     top: list[float]
     bot: list[float]
     assign_top: list[dict[str, float | None]]
     assign_bot: list[dict[str, float | None]]
-    summary: "np.ndarray | None" = None
 
 
 def needed_slopes(slopes: SlopeSet) -> list[float]:
@@ -97,16 +94,18 @@ def needed_slopes(slopes: SlopeSet) -> list[float]:
 def compute_keys_batch(
     items: Iterable[tuple[int, GeneralizedTuple]],
     slopes: SlopeSet,
-) -> dict[int, EntryKeys | None]:
-    """:class:`EntryKeys` for many tuples, one vectorized pass per slope.
+) -> tuple[dict[int, EntryKeys | None], np.ndarray]:
+    """:class:`EntryKeys` and dual summaries for many tuples, one
+    vectorized pass per slope.
 
     Each tuple's ``TOP``/``BOT`` is a max/min of one dual line per
     vertex, so :class:`~repro.geometry.vectorized.DualSurface` evaluates
     the whole relation at each of the 2k-1 probe slopes (k tree slopes
     plus k-1 strip midpoints) in one numpy pass. Returns ``tid ->
     EntryKeys`` with ``None`` marking unsatisfiable tuples (the build
-    skips those). Values are bit-identical to
-    :meth:`DualIndex.compute_keys` per tuple: the surface mirrors the
+    skips those), and the :func:`~repro.core.settle.summary_rows` of
+    the satisfiable tuples in ``items`` order. Values are bit-identical
+    to :meth:`DualIndex.compute_keys` per tuple: the surface mirrors the
     scalar support arithmetic, and the assignment keys are the same
     ``max``/``min`` of the same endpoint values.
     """
@@ -122,17 +121,28 @@ def compute_keys_batch(
         else:
             sat.append((tid, t))
     if not sat:
-        return result
+        return result, np.empty((0, summary_width(len(slopes))))
     surface = DualSurface.from_items(sat)
+    keys, summaries = surface_keys(surface, slopes)
+    for (tid, _t), entry in zip(sat, keys):
+        result[tid] = entry
+    return result, summaries
+
+
+def surface_keys(
+    surface: DualSurface, slopes: SlopeSet
+) -> tuple[list[EntryKeys], np.ndarray]:
+    """:class:`EntryKeys` and summary rows of every tuple of a surface of
+    satisfiable tuples, in row order."""
     probe = needed_slopes(slopes)
     tops = {s: surface.top_at(s).tolist() for s in probe}
     bots = {s: surface.bot_at(s).tolist() for s in probe}
-    summaries = summary_rows(surface, slopes)
     strips = [
         {side: slopes.strip(i, side) for side in _SIDES}
         for i in range(len(slopes))
     ]
-    for row, (tid, _t) in enumerate(sat):
+    keys: list[EntryKeys] = []
+    for row in range(len(surface)):
         assign_top: list[dict[str, float | None]] = []
         assign_bot: list[dict[str, float | None]] = []
         for per_side in strips:
@@ -151,14 +161,15 @@ def compute_keys_batch(
                     ab[side] = min(bots[a][row], bots[b][row])
             assign_top.append(at)
             assign_bot.append(ab)
-        result[tid] = EntryKeys(
-            [tops[s][row] for s in slopes],
-            [bots[s][row] for s in slopes],
-            assign_top,
-            assign_bot,
-            summaries[row],
+        keys.append(
+            EntryKeys(
+                [tops[s][row] for s in slopes],
+                [bots[s][row] for s in slopes],
+                assign_top,
+                assign_bot,
+            )
         )
-    return result
+    return keys, summary_rows(surface, slopes)
 
 
 class KeysLRU:
@@ -264,8 +275,7 @@ class DualIndex:
         Capacity of the :class:`KeysLRU` catalog key cache. Eviction is
         answer-preserving (evicted keys are re-derived from the heap
         record on demand); the bound keeps memory flat under sustained
-        update traffic. A static build leaves it empty: only dynamic
-        handicap maintenance reads keys often.
+        update traffic.
     """
 
     def __init__(
@@ -392,17 +402,20 @@ class DualIndex:
             )
         with obs.span("build", pager=self.pager, index=self.name,
                       tuples=len(relation)):
-            keys = compute_keys_batch(relation, self.slopes)
-            self._build(relation, fill, keys)
+            keys, summaries = compute_keys_batch(relation, self.slopes)
+            self._build(relation, fill, keys, summaries)
 
     def _build(
         self,
         relation: GeneralizedRelation,
         fill: float,
         keys: "Mapping[int, EntryKeys | None]",
+        summaries: np.ndarray,
     ) -> None:
         """Stage ``relation`` under precomputed ``keys`` (``tid ->
-        EntryKeys``, ``None`` marking an unsatisfiable tuple to skip)."""
+        EntryKeys``, ``None`` marking an unsatisfiable tuple to skip)
+        and ``summaries`` (one row per satisfiable tuple, in relation
+        order)."""
         k = len(self.slopes)
         self._surface = None
         up_entries: list[list[tuple[float, int]]] = [[] for _ in range(k)]
@@ -413,7 +426,7 @@ class DualIndex:
         # refinement fetch into (mostly) sequential page reads — the
         # standard clustered-index layout (see DESIGN.md §5).
         middle = len(self.slopes) // 2
-        staged: list[tuple[float, int, GeneralizedTuple, EntryKeys]] = []
+        staged: list[tuple[float, int, GeneralizedTuple, EntryKeys, int]] = []
         for tid, t in relation:
             entry = keys.get(tid)
             if entry is None:
@@ -422,24 +435,21 @@ class DualIndex:
             cluster_key = entry.top[middle]
             if not math.isfinite(cluster_key):
                 cluster_key = math.copysign(1e30, cluster_key)
-            staged.append((cluster_key, tid, t, entry))
+            staged.append((cluster_key, tid, t, entry, len(staged)))
         staged.sort(key=lambda item: item[0])
         rids: list[int] = []
-        for _cluster_key, tid, t, entry in staged:
+        for _cluster_key, tid, t, entry, _row in staged:
             rid = self.heap.insert(encode_tuple(tid, t))
             rids.append(rid)
             self.rid_of[tid] = rid
             self.tid_of[rid] = tid
             keys_by_rid[rid] = entry
-            if self.dynamic:
-                # Only handicap maintenance reads keys often; a static
-                # index's rare delete re-derives them from the record.
-                self.keys_cache[rid] = entry
+            self.keys_cache[rid] = entry
             for i in range(k):
                 up_entries[i].append((entry.top[i], rid))
                 down_entries[i].append((entry.bot[i], rid))
             self.size += 1
-        self.summaries.write(rids, self._staged_summaries(staged))
+        self.summaries.write(rids, summaries[[item[4] for item in staged]])
         for i in range(k):
             self.up[i].bulk_load(up_entries[i], fill)
             self.down[i].bulk_load(down_entries[i], fill)
@@ -447,23 +457,6 @@ class DualIndex:
         if self.dynamic:
             self._bulk_load_directories(keys_by_rid, fill)
         self.version += 1
-
-    def _staged_summaries(self, staged: list) -> np.ndarray:
-        """Summary rows of staged tuples, in staging order: the ones the
-        vectorized key pass attached, the rest derived in one more
-        surface pass (keys computed one tuple at a time carry none)."""
-        summaries = [entry.summary for _key, _tid, _t, entry in staged]
-        missing = [n for n, row in enumerate(summaries) if row is None]
-        if missing:
-            rows = summary_rows(
-                DualSurface.from_items(
-                    (staged[n][1], staged[n][2]) for n in missing
-                ),
-                self.slopes,
-            )
-            for n, row in zip(missing, rows):
-                summaries[n] = row
-        return np.stack(summaries) if summaries else np.empty((0, 0))
 
     def _bulk_load_directories(
         self, keys_by_rid: dict[int, EntryKeys], fill: float
@@ -611,10 +604,14 @@ class DualIndex:
         """
         if tid in self.rid_of:
             raise IndexError_(f"tuple id {tid} already indexed")
-        keys = self.compute_keys(t)
-        rid = self.heap.insert(encode_tuple(tid, t))
+        if t.extension().is_empty:
+            raise IndexError_("cannot index a tuple with an empty extension")
+        # One surface piece gives the keys, the summary and the rows a
+        # built surface appends.
         piece = DualSurface([tid], [t])
-        self.summaries.write([rid], summary_rows(piece, self.slopes))
+        [keys], summary = surface_keys(piece, self.slopes)
+        rid = self.heap.insert(encode_tuple(tid, t))
+        self.summaries.write([rid], summary)
         self.rid_of[tid] = rid
         self.tid_of[rid] = tid
         self.keys_cache[rid] = keys
@@ -755,10 +752,20 @@ class DualIndex:
             for name, side, lo, hi in payload["assign_extrema"]
         }
         self.heap.restore_state(payload["heap"])
-        # A catalog without summaries (written before the file existed)
-        # leaves it empty: every candidate then goes to refinement.
         if "summaries" in payload:
             self.summaries.restore_state(payload["summaries"])
+        else:
+            # A catalog written before the summary file existed: derive
+            # it from one heap scan.
+            records = [
+                (rid, decode_tuple(data)) for rid, data in self.heap.scan()
+            ]
+            if records:
+                surface = DualSurface.from_items(item for _rid, item in records)
+                self.summaries.write(
+                    [rid for rid, _item in records],
+                    summary_rows(surface, self.slopes),
+                )
         trees = payload["trees"]
         for tree in self.all_trees():
             tree.restore_state(trees[tree.name])

@@ -272,11 +272,10 @@ class DualIndexPlanner:
         result = QueryResult(technique="exact")
         result.accepted_without_refinement = int(accepted.size)
         result.candidates = int(accepted.size + boundary.size)
-        result.ids = set(self.index.tids_for_rids(accepted).tolist())
         confirmed, false_hits, pages = refine_candidates(
             self.index.heap, query, boundary.tolist()
         )
-        result.ids |= confirmed
+        result.set_lazy_ids(self.index.tids_for_rids(accepted), confirmed)
         result.false_hits = false_hits
         result.refinement_pages = pages
         return result
@@ -314,10 +313,14 @@ class DualIndexPlanner:
         confirmed, false_hits, heap_pages = refine_candidates(
             index.heap, query, band.tolist()
         )
-        # The catalog's own tid objects: a retained answer costs its set
-        # table only, not one fresh int per member.
-        confirmed.update(map(index.tid_of.__getitem__, candidates[hit].tolist()))
-        result.ids = confirmed
+        # Catalog lookups, not tids_for_rids: its dense table would cost
+        # the T1/T2 path memory it otherwise never needs.
+        hits = candidates[hit].tolist()
+        result.set_lazy_ids(
+            np.fromiter(map(index.tid_of.__getitem__, hits), dtype=np.int64,
+                        count=len(hits)),
+            confirmed,
+        )
         result.candidates = int(candidates.size)
         result.accepted_without_refinement = int(hit.sum())
         result.false_hits = int(miss.sum()) + false_hits

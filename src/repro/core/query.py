@@ -13,9 +13,12 @@ the page accesses charged.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.constraints.linear import LinearConstraint
 from repro.constraints.theta import Theta
@@ -139,18 +142,86 @@ class AppQuery:
     theta: Theta
 
 
+#: Largest tuple id: the heap record stores it as a u32
+#: (:func:`~repro.storage.serialize.encode_tuple`).
+MAX_TID = 0xFFFFFFFF
+
+
+class AnswerSet(Set):
+    """An immutable set of tuple ids, held as one sorted uint32 array.
+
+    It compares, tests membership and combines like a ``frozenset`` of
+    ints (iteration yields Python ints in ascending order), at 4 bytes
+    per id: a Python set of a few hundred ids costs about 60 (its hash
+    table plus one int object per id), so callers that keep many
+    answers keep them compactly. Ids outside ``[0, MAX_TID]`` raise
+    :class:`~repro.errors.QueryError`.
+
+    Example::
+
+        >>> ids = AnswerSet([7, 3, 7])
+        >>> ids == {3, 7}, 7 in ids, list(ids)
+        (True, True, [3, 7])
+        >>> sorted(ids | {1})
+        [1, 3, 7]
+    """
+
+    __slots__ = ("_tids",)
+
+    def __init__(self, tids: Iterable[int] = ()) -> None:
+        if not isinstance(tids, np.ndarray):
+            tids = np.fromiter(tids, dtype=np.int64)
+        tids = np.unique(tids)
+        if tids.size and (tids[0] < 0 or tids[-1] > MAX_TID):
+            raise QueryError(f"tuple ids must lie in [0, {MAX_TID}]")
+        self._tids = tids.astype(np.uint32)
+
+    @classmethod
+    def _from_iterable(cls, items: Iterable[int]) -> "AnswerSet":
+        return cls(items)
+
+    def __contains__(self, tid: object) -> bool:
+        try:
+            at = int(np.searchsorted(self._tids, tid))
+        except (TypeError, ValueError):
+            return False
+        return at < self._tids.size and bool(self._tids[at] == tid)
+
+    def __iter__(self):
+        return iter(self._tids.tolist())
+
+    def __len__(self) -> int:
+        return self._tids.size
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, AnswerSet):
+            return np.array_equal(self._tids, other._tids)
+        return super().__eq__(other)
+
+    __hash__ = None  # type: ignore[assignment]  # unhashable, like set
+
+    def __reduce__(self):
+        return AnswerSet, (self._tids,)
+
+    def __repr__(self) -> str:
+        return f"AnswerSet({self._tids.tolist()})"
+
+
+_NO_ANSWERS = AnswerSet()
+
+
 class QueryResult:
     """Answer set plus execution diagnostics.
 
-    ``ids`` is the oracle-exact answer (tuple ids); the remaining fields
-    are the per-query measurements the paper's experiments report.
+    ``ids`` is the oracle-exact answer (tuple ids) as an
+    :class:`AnswerSet`; the remaining fields are the per-query
+    measurements the paper's experiments report. Assigning any
+    iterable of ids to ``ids`` stores it as an :class:`AnswerSet`.
 
     The batch path hands answers over as numpy tid arrays
-    (:meth:`set_lazy_ids`); the Python ``set`` is materialised on first
-    access to :attr:`ids`, so callers that only count or never look at
-    individual ids (benchmarks, shard fan-out merges) skip the
-    array→set conversion entirely. Either way the observable value of
-    ``ids`` is identical.
+    (:meth:`set_lazy_ids`); the :class:`AnswerSet` is built on first
+    access to :attr:`ids`, so callers that only count never merge the
+    columns. Either way the observable value of ``ids`` is identical.
 
     Example::
 
@@ -184,7 +255,7 @@ class QueryResult:
 
     def __init__(
         self,
-        ids: set[int] | None = None,
+        ids: Iterable[int] | None = None,
         technique: str = "",
         candidates: int = 0,
         false_hits: int = 0,
@@ -195,7 +266,9 @@ class QueryResult:
         io: IOStats | None = None,
         trace: object | None = None,
     ) -> None:
-        self._ids: set[int] | None = ids if ids is not None else set()
+        self._ids: AnswerSet | None = _NO_ANSWERS
+        if ids is not None:
+            self.ids = ids
         #: Deferred answer columns (numpy tid array + refined extras).
         self._lazy_tids = None
         self._lazy_extra: set[int] | None = None
@@ -221,40 +294,40 @@ class QueryResult:
     # answer set (lazy columnar handoff)
     # ------------------------------------------------------------------
     @property
-    def ids(self) -> set[int]:
-        """The answer set; materialised from columns on first access."""
+    def ids(self) -> AnswerSet:
+        """The answer set; built from columns on first access."""
         if self._ids is None:
             tids = self._lazy_tids
-            if isinstance(tids, (list, tuple)):
-                ids: set[int] = set()
-                for column in tids:
-                    ids.update(column.tolist())
-            else:
-                ids = set(tids.tolist())
+            columns = list(tids) if isinstance(tids, (list, tuple)) else [tids]
             if self._lazy_extra:
-                ids |= self._lazy_extra
-            self._ids = ids
+                columns.append(
+                    np.fromiter(self._lazy_extra, dtype=np.int64,
+                                count=len(self._lazy_extra))
+                )
+            self._ids = (
+                AnswerSet(np.concatenate(columns)) if columns else _NO_ANSWERS
+            )
             self._lazy_tids = None
             self._lazy_extra = None
         return self._ids
 
     @ids.setter
-    def ids(self, value: set[int]) -> None:
-        self._ids = value
+    def ids(self, value: Iterable[int]) -> None:
+        self._ids = value if isinstance(value, AnswerSet) else AnswerSet(value)
         self._lazy_tids = None
         self._lazy_extra = None
 
     def set_lazy_ids(self, tids, extra: set[int] | None = None) -> None:
         """Adopt a columnar answer: a numpy tid array (or a list or
         tuple of disjoint tid arrays, one per shard) plus refined
-        extras. ``ids`` materialises the set only when read."""
+        extras. ``ids`` builds the :class:`AnswerSet` only when read."""
         self._ids = None
         self._lazy_tids = tids
         self._lazy_extra = extra
 
     @property
     def answer_count(self) -> int:
-        """``len(ids)`` without forcing set materialisation."""
+        """``len(ids)`` without building the :class:`AnswerSet`."""
         if self._ids is not None:
             return len(self._ids)
         # Accepted tids are distinct and refined extras come from the

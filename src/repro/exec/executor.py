@@ -428,7 +428,8 @@ def merge_partials(parts: Sequence[ShardPartials]) -> BatchResult:
 
     Answers are unions and diagnostics sums: the parts cover disjoint
     tuples. Each answer stays lazy — its tid array, or one per part —
-    so a Python set only exists if a caller reads ``ids``.
+    so an :class:`~repro.core.query.AnswerSet` only exists if a caller
+    reads ``ids``.
     """
     if not parts:
         return BatchResult()
@@ -542,12 +543,13 @@ def _check_2d(queries: Sequence[HalfPlaneQuery]) -> None:
 
 
 def _clone_cached(result: QueryResult) -> QueryResult:
-    """An independent copy of a cached result, marked as served-from-cache.
+    """A copy of a cached result, marked as served-from-cache; it shares
+    the immutable answer set.
 
     The I/O block is zeroed: a cache hit touches no pages.
     """
     return QueryResult(
-        ids=set(result.ids),
+        ids=result.ids,
         technique=result.technique,
         candidates=result.candidates,
         false_hits=result.false_hits,

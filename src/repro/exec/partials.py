@@ -8,8 +8,8 @@ accounting. Every list is aligned with the batch's queries.
 
 :func:`repro.exec.executor.merge_partials` turns one or more of them —
 one per shard of a sharded batch — into a :class:`BatchResult`; a
-merged answer keeps one tid array per part, so no Python set exists
-until a caller reads ``ids``.
+merged answer keeps one tid array per part, merged into one
+:class:`~repro.core.query.AnswerSet` only when a caller reads ``ids``.
 """
 
 from __future__ import annotations

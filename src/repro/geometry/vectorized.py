@@ -31,7 +31,7 @@ Two callers build surfaces:
 * :meth:`repro.core.dual_index.DualIndex.surface` — the whole index
   contents, built from a heap scan on the first ``vector`` query and
   then patched in place by every insert and delete
-  (:meth:`DualSurface.insert` / :meth:`DualSurface.delete`): a tuple's
+  (:meth:`DualSurface.append` / :meth:`DualSurface.delete`): a tuple's
   ``TOP^P``/``BOT^P`` depend on its own vertices only, so a write
   touches that tuple's rows and nothing else.
 
@@ -157,16 +157,12 @@ class DualSurface:
     # ------------------------------------------------------------------
     # in-place updates
     # ------------------------------------------------------------------
-    def insert(self, tid: int, t: GeneralizedTuple) -> None:
-        """Append one tuple's vertex, ray and fallback rows.
+    def append(self, piece: "DualSurface") -> None:
+        """Append every row of another surface (whose tids are new).
 
         Every value read back by tid equals a :meth:`from_items`
         rebuild's: a row's value depends on its own rows only.
         """
-        self.append(DualSurface([tid], [t]))
-
-    def append(self, piece: "DualSurface") -> None:
-        """Append every row of another surface (whose tids are new)."""
         row, base = len(self), self._vx.size
         self.tids = np.append(self.tids, piece.tids)
         self._vx = np.append(self._vx, piece._vx)

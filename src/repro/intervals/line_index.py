@@ -106,15 +106,17 @@ class LineQueryIndex:
         result.refinement_pages = len({unpack_rid(r)[0] for r in rids})
         slope = self.slopes[slope_index]
         records = self.heap.fetch_batch(rids)
+        ids: set[int] = set()
         for data in records.values():
             tid, t = decode_tuple(data)
             poly = t.extension()
             lo = bot(poly, slope)
             hi = top(poly, slope)
             if lo - ORACLE_TOL <= intercept <= hi + ORACLE_TOL:
-                result.ids.add(tid)
+                ids.add(tid)
             else:
                 result.false_hits += 1
+        result.ids = ids
         return result
 
     def _margin(self, value: float) -> float:

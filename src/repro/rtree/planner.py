@@ -197,9 +197,9 @@ class RTreePlanner:
         result = QueryResult(technique=f"{type(self.tree).__name__}")
         result.candidates = candidates.total
         result.accepted_without_refinement = len(candidates.confirmed)
-        result.ids = {self.tid_of[rid] for rid in candidates.confirmed}
         confirmed, result.false_hits, result.refinement_pages = (
             refine_candidates(self.heap, query, candidates.to_refine)
         )
-        result.ids |= confirmed
+        confirmed.update(self.tid_of[rid] for rid in candidates.confirmed)
+        result.ids = confirmed
         return result

@@ -92,6 +92,12 @@ class TestFigureDrivers:
         assert 60 in series[0].points
         text = render_figure("demo", series)
         assert "T2 k=2" in text and "R+-tree" in text
+        assert "summary_pages" not in text
+        # Total accesses show the summary-file share of the line that
+        # reads one (the dual planner's), and no column for the R+-tree.
+        total = render_figure("demo", series, metric="total_accesses")
+        assert "T2 k=2 (summary_pages)" in total
+        assert "R+-tree (summary_pages)" not in total
 
     def test_figure_10_rows(self):
         rows = figure_10("small", n_values=(60,), k_values=(2,))

@@ -54,7 +54,7 @@ def test_batch_keys_match_scalar(size):
     relation = make_relation(160, size, seed=31)
     slopes = SlopeSet.uniform_angles(3)
     _assert_same_keys(
-        dict(compute_keys_batch(list(relation), slopes)),
+        compute_keys_batch(list(relation), slopes)[0],
         _scalar_keys(relation, slopes),
     )
 
@@ -64,6 +64,6 @@ def test_batch_keys_match_scalar_with_unbounded_and_unsat():
     relation = random_mixed_relation(rng, 60, unbounded_fraction=0.4)
     slopes = SlopeSet([-2.0, -0.5, 0.5, 2.0])
     _assert_same_keys(
-        dict(compute_keys_batch(list(relation), slopes)),
+        compute_keys_batch(list(relation), slopes)[0],
         _scalar_keys(relation, slopes),
     )

@@ -121,7 +121,7 @@ def test_random_updates_read_back_like_a_rebuild(seed):
             del live[tid]
         else:
             t = rng.choice(pool)
-            surface.insert(next_tid, t)
+            surface.append(DualSurface([next_tid], [t]))
             live[next_tid] = t
             next_tid += 1
         _assert_matches_rebuild(surface, live, rng.uniform(-4.0, 4.0))
@@ -133,7 +133,7 @@ def test_each_special_shape_inserts_and_deletes_between_neighbours(text):
     live = {tid: t for tid, t in enumerate(neighbours)}
     surface = DualSurface.from_items(sorted(live.items()))
     _prime(surface)
-    surface.insert(99, parse_tuple(text))
+    surface.append(DualSurface([99], [parse_tuple(text)]))
     live[99] = parse_tuple(text)
     _assert_matches_rebuild(surface, live, 1.3)
     # Deleting an earlier row re-bases the special tuple's rows.
@@ -172,7 +172,7 @@ def test_insert_into_an_empty_surface():
     assert surface.top_at(1.0).size == 0
     live = {}
     for tid, t in enumerate(_special_tuples()):
-        surface.insert(tid, t)
+        surface.append(DualSurface([tid], [t]))
         live[tid] = t
         _assert_matches_rebuild(surface, live, -0.8)
     assert surface.answer("EXIST", 0.0, 2.0, Theta.GE) == (

@@ -18,6 +18,7 @@ from repro.core import (
     HalfPlaneQuery,
     SlopeSet,
 )
+from repro.core.settle import summary_rows
 from repro.errors import IndexError_
 from repro.geometry.predicates import evaluate_relation
 from repro.geometry.vectorized import DualSurface
@@ -259,7 +260,13 @@ def test_parallel_sharded_build_matches_serial_layout():
                 tid: staged.compute_keys(t) if t.is_satisfiable() else None
                 for tid, t in sub
             }
-            staged._build(sub, 0.9, keys)
+            summaries = summary_rows(
+                DualSurface.from_items(
+                    (tid, t) for tid, t in sub if keys[tid] is not None
+                ),
+                slopes,
+            )
+            staged._build(sub, 0.9, keys, summaries)
             built = planner.index
             for ta, tb in zip(built.up + built.down, staged.up + staged.down):
                 assert leaves(ta) == leaves(tb), ta.name
