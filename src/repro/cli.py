@@ -975,6 +975,7 @@ def _fuzz(args) -> int:
         run_fault_scenario,
         run_fuzz,
     )
+    from repro.verify.differential import WAIVER_BOUND_PER_MILLION
 
     if args.replay:
         findings = replay_repro(args.replay)
@@ -1010,6 +1011,10 @@ def _fuzz(args) -> int:
     print(report.summary())
     for path in report.repro_paths:
         print(f"  repro: {path}")
+    if report.waivers_per_million > WAIVER_BOUND_PER_MILLION:
+        print(f"boundary waivers: {report.waivers_per_million:.0f} per "
+              f"million queries, over the bound of {WAIVER_BOUND_PER_MILLION}")
+        return 1
     return 0 if report.ok else 1
 
 

@@ -9,12 +9,11 @@ Given a half-plane query, the planner picks the cheapest sound path:
   forced to T1 → two app-queries (Section 4.1);
 
 and then *refines* (:func:`refine_candidates`): every candidate RID is
-fetched from the heap (one counted page access per distinct page), the
-decoded candidates' geometry is settled in one batched warm-up
-(:func:`~repro.geometry.polyhedron.warm_batch`) and each is checked
-against the exact ALL/EXIST predicate, so the final answer always
-equals the oracle's. The R-tree and d-dimensional planners refine
-through the same function.
+fetched from the heap (one counted page access per distinct page) and
+checked against the exact ALL/EXIST predicate — 2-D records in one
+columnar numpy pass, the few it cannot decide exactly one at a time —
+so the final answer always equals the oracle's. The R-tree and
+d-dimensional planners refine through the same function.
 
 T1 and T2 candidates are *settled* first (:mod:`repro.core.settle`):
 their dual summaries are read from the index's summary file (one
@@ -44,7 +43,7 @@ from repro.geometry.polyhedron import WARM_CHUNK, warm_batch
 from repro.geometry.predicates import all_halfplane, exist_halfplane
 from repro.storage.heap import HeapFile, unpack_rid
 from repro.storage.pager import Pager
-from repro.storage.serialize import KeyCodec
+from repro.storage.serialize import KeyCodec, decode_halfplanes_2d
 
 
 class DualIndexPlanner:
@@ -339,15 +338,17 @@ def refine_candidates(
     """The refinement step: fetch the candidates, keep the true hits.
 
     Fetches the candidate records page-batched (the I/O cost is one page
-    access per distinct heap page holding a candidate), decodes them and
-    tests each with the exact predicate (:func:`exist_halfplane` /
-    :func:`all_halfplane`). Before the predicates run, one batched
-    warm-up (:func:`~repro.geometry.polyhedron.warm_batch`) settles the
-    emptiness, vertices and boundedness of a whole slice of decoded 2-D
-    candidates, the values the scalar properties would compute one
-    tuple at a time; each predicate is then a max over cached vertices.
-    Candidates in d >= 3 (the d-dimensional planner, a 3-D R-tree) skip
-    the warm-up: their supports go through LP. Used by
+    access per distinct heap page holding a candidate) and tests each
+    against the exact ALL/EXIST predicate. A 2-D slice of records is
+    decoded column-wise (:func:`~repro.storage.serialize.decode_halfplanes_2d`)
+    and decided in one numpy pass: the predicate, handed the rows,
+    runs :func:`~repro.geometry.predicates.halfplane_rows`, which settles
+    every record whose decision provably equals the scalar predicate's.
+    The rest — unbounded, vertex-free, contradictory, degenerate or
+    near-boundary records, and every record in d >= 3 — take the scalar
+    path: :func:`decode_tuple`, one batched warm-up
+    (:func:`~repro.geometry.polyhedron.warm_batch`), then
+    :func:`exist_halfplane` / :func:`all_halfplane` per record. Used by
     :class:`DualIndexPlanner`, :class:`repro.rtree.planner.RTreePlanner`
     and :class:`repro.core.ddim.DDimPlanner`.
 
@@ -367,11 +368,20 @@ def refine_candidates(
     with obs.span("verify"):
         confirmed: set[int] = set()
         false_hits = 0
-        # Slices of WARM_CHUNK records: the decoded tuples and their
-        # cached geometry alive at once stay bounded however many
-        # candidates a query has.
+        fallbacks = 0
+        # Slices of WARM_CHUNK records: the padded arrays, decoded
+        # tuples and cached geometry alive at once stay bounded however
+        # many candidates a query has.
         for lo in range(0, len(payloads), WARM_CHUNK):
-            items = [decode_tuple(data) for data in payloads[lo : lo + WARM_CHUNK]]
+            chunk = payloads[lo : lo + WARM_CHUNK]
+            if query.dimension == 2:
+                rows = decode_halfplanes_2d(chunk)
+                holds, decided = predicate(rows, query.slope_2d, intercept, theta)
+                confirmed.update(rows.tids[decided & holds].tolist())
+                false_hits += int(np.count_nonzero(decided & ~holds))
+                chunk = [chunk[k] for k in np.flatnonzero(~decided).tolist()]
+                fallbacks += len(chunk)
+            items = [decode_tuple(data) for data in chunk]
             extensions = [t.extension() for _tid, t in items]
             warm_batch(extensions)
             for (tid, _t), poly in zip(items, extensions):
@@ -381,4 +391,5 @@ def refine_candidates(
                     false_hits += 1
         obs.incr("refine.confirmed", len(confirmed))
         obs.incr("refine.false_hits", false_hits)
+        obs.incr("refine.scalar_fallbacks", fallbacks)
     return confirmed, false_hits, pages

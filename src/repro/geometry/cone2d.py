@@ -96,81 +96,91 @@ def is_pointed_at_origin(normals: Sequence[Vec2], tol: float = CONE_TOL) -> bool
     return True
 
 
-#: The four box directions probed by :func:`is_pointed_at_origin`.
-_BOX_DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-
-
 def pointed_many(
     normals_per_cone: Sequence[Sequence[Vec2]], tol: float = CONE_TOL
 ) -> np.ndarray:
     """Batched :func:`is_pointed_at_origin` over many cones at once.
 
     Returns a boolean array, one entry per cone, classifying each cone
-    exactly as the scalar function would: the candidate enumeration,
-    tolerances and comparisons are the same expressions evaluated over
-    padded arrays, so the classifications agree bit-for-bit. Padding
-    planes are ``(0, 0, 1)`` — their determinant with every other plane
-    is exactly 0, so the scalar ``abs(det) < 1e-15`` skip eliminates
-    them, and a ``(0, 0)`` padding normal satisfies ``0 <= tol`` in the
-    feasibility test, so padding never changes a result.
+    exactly as the scalar function would (see :func:`pointed_padded`).
 
     This is the build path's hot loop: one boundedness question per
     indexed tuple, each individually tiny but dominated by Python
     overhead when asked 10⁴ times in a row.
     """
     count = len(normals_per_cone)
-    if count == 0:
-        return np.zeros(0, dtype=bool)
-    m_max = max(len(normals) for normals in normals_per_cone)
-    if m_max == 0:
-        return np.zeros(count, dtype=bool)
-    p_max = m_max + 4  # cone planes + the four box edges
-    a = np.zeros((count, p_max))
-    b = np.zeros((count, p_max))
-    r = np.ones((count, p_max))  # padding plane (0, 0, 1)
+    m_max = max((len(normals) for normals in normals_per_cone), default=0)
     nx = np.zeros((count, m_max))
     ny = np.zeros((count, m_max))
-    trivial = np.zeros(count, dtype=bool)  # no normals → not pointed
     for row, normals in enumerate(normals_per_cone):
-        m = len(normals)
-        if m == 0:
-            trivial[row] = True
-            continue
         for col, (x, y) in enumerate(normals):
-            a[row, col] = nx[row, col] = x
-            b[row, col] = ny[row, col] = y
-            r[row, col] = 0.0
-        for col, (x, y, rhs) in enumerate(
-            ((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.0, 1.0, 1.0),
-             (0.0, -1.0, 1.0)),
-            start=m,
-        ):
-            a[row, col] = x
-            b[row, col] = y
-            r[row, col] = rhs
-    i, j = np.triu_indices(p_max, k=1)
-    det = a[:, i] * b[:, j] - a[:, j] * b[:, i]
+            nx[row, col] = x
+            ny[row, col] = y
+    return pointed_padded(nx, ny, tol)
+
+
+def pointed_padded(
+    nx: np.ndarray, ny: np.ndarray, tol: float = CONE_TOL
+) -> np.ndarray:
+    """:func:`is_pointed_at_origin` of each row of padded normal arrays.
+
+    Row ``r`` holds one cone's normals, padded with ``(0, 0)``; a row
+    without a non-zero normal is not pointed. The candidates, tolerances
+    and comparisons are the scalar function's expressions evaluated over
+    arrays, so the classifications agree bit-for-bit. Two kinds of the
+    scalar's candidate pairs are skipped because they cannot change a
+    result: two cone planes meet at the origin, whose value 0 the scalar
+    maximum starts from, and a zero padding normal never pairs (its
+    determinant with every plane is 0, under the ``1e-15`` cut). The
+    box-edge pairs give the four corners ``(±1, ±1)``. A zero normal
+    also satisfies ``0 <= tol`` in the feasibility test, so padding never
+    changes a result.
+    """
+    count, m_max = nx.shape
+    if count == 0 or m_max == 0:
+        return np.zeros(count, dtype=bool)
+    # Each cone plane (a1, b1, 0) against each box edge (a2, b2, r2), in
+    # the scalar's pair order (cone plane first).
+    a1 = nx[:, :, None]
+    b1 = ny[:, :, None]
+    r1 = np.zeros_like(a1)
+    a2, b2, r2 = _BOX_PLANES
+    det = a1 * b2 - a2 * b1
     usable = np.abs(det) >= 1e-15
     safe_det = np.where(usable, det, 1.0)
-    dx = (r[:, i] * b[:, j] - r[:, j] * b[:, i]) / safe_det
-    dy = (a[:, i] * r[:, j] - a[:, j] * r[:, i]) / safe_det
+    dx = ((r1 * b2 - r2 * b1) / safe_det).reshape(count, -1)
+    dy = ((a1 * r2 - a2 * r1) / safe_det).reshape(count, -1)
     candidate = (
-        usable & (np.abs(dx) <= 1.0 + tol) & (np.abs(dy) <= 1.0 + tol)
+        usable.reshape(count, -1)
+        & (np.abs(dx) <= 1.0 + tol)
+        & (np.abs(dy) <= 1.0 + tol)
     )
-    feasible = np.all(
+    dx = np.concatenate([dx, np.broadcast_to(_CORNERS[0], (count, 4))], axis=1)
+    dy = np.concatenate([dy, np.broadcast_to(_CORNERS[1], (count, 4))], axis=1)
+    candidate = np.concatenate([candidate, np.ones((count, 4), dtype=bool)],
+                               axis=1)
+    candidate &= np.all(
         nx[:, None, :] * dx[:, :, None] + ny[:, None, :] * dy[:, :, None]
         <= tol,
         axis=2,
     )
-    candidate &= feasible
-    pointed = np.ones(count, dtype=bool)
-    for cx, cy in _BOX_DIRECTIONS:
-        value = cx * dx + cy * dy
-        best = np.max(np.where(candidate, value, 0.0), axis=1)
-        best = np.maximum(best, 0.0)  # the origin is always feasible
-        pointed &= best <= tol
-    pointed[trivial] = False
-    return pointed
+    # The scalar probes the four box directions (±1, 0), (0, ±1); each
+    # value is ±dx or ±dy, so all four stay within tol iff the largest
+    # |dx|, |dy| over the feasible candidates does (the origin, value 0,
+    # is always feasible).
+    reach = np.where(candidate, np.maximum(np.abs(dx), np.abs(dy)), 0.0)
+    return (reach.max(axis=1) <= tol) & ((nx != 0.0) | (ny != 0.0)).any(axis=1)
+
+
+#: The four box edges of :func:`_boxed_max` as ``(a, b, rhs)`` columns.
+_BOX_PLANES = (
+    np.array([1.0, -1.0, 0.0, 0.0]),
+    np.array([0.0, 0.0, 1.0, -1.0]),
+    np.array([1.0, 1.0, 1.0, 1.0]),
+)
+
+#: Where two perpendicular box edges meet: the corners ``(±1, ±1)``.
+_CORNERS = (np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
 
 
 def extreme_rays(normals: Sequence[Vec2], tol: float = CONE_TOL) -> list[Vec2]:

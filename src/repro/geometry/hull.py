@@ -10,12 +10,16 @@ from typing import Sequence
 
 Vec2 = tuple[float, float]
 
+#: Collinearity cut of :func:`convex_hull_2d`: a turn whose cross product
+#: is at most ``HULL_EPS · scale²`` pops the middle point.
+HULL_EPS = 1e-12
+
 
 def _cross(o: Vec2, a: Vec2, b: Vec2) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull_2d(points: Sequence[Vec2], eps: float = 1e-12) -> list[Vec2]:
+def convex_hull_2d(points: Sequence[Vec2], eps: float = HULL_EPS) -> list[Vec2]:
     """Counter-clockwise convex hull of a 2-D point set.
 
     Collinear boundary points are dropped. Degenerate inputs return what

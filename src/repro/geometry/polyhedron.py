@@ -12,6 +12,7 @@ dimensions delegate supports to LP (``repro.geometry.supportnd``).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Sequence
 
@@ -34,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: polyhedra × plane pairs × planes, so fixed slices keep the warmers'
 #: temporaries bounded however large the relation is.
 WARM_CHUNK = 256
+
+#: Relative tolerance under which :meth:`ConvexPolyhedron.vertices`
+#: merges two candidate vertices (per coordinate, against the later one).
+DEDUPE_TOL = 1e-7
 
 
 class ConvexPolyhedron:
@@ -318,16 +323,13 @@ def warm_batch(polys: Sequence["ConvexPolyhedron"]) -> None:
 def _warm_vertex_slice(todo: Sequence["ConvexPolyhedron"]) -> None:
     """Fill ``_empty`` and ``_vertices`` for one slice of 2-D polyhedra.
 
-    Runs the same candidate enumeration as :meth:`ConvexPolyhedron.vertices`
-    — pairwise constraint-line intersections, the same determinant and
-    feasibility tolerances in the same evaluation order — over padded
-    arrays, then hands each polyhedron's surviving candidate list (in
-    scalar enumeration order) to the scalar dedupe + hull, so the cached
-    vertices are exactly what the property would have computed. Padding
-    rows are ``(0, 0, 0)``: their determinant with any line is 0 (never
-    a candidate pair) and their feasibility slack is 0 (never rejects a
-    point), so slicing (each slice padded to its own widest member)
-    changes no result.
+    Runs the candidate enumeration of :meth:`ConvexPolyhedron.vertices`
+    over padded arrays (:func:`vertex_candidates`), then hands each
+    polyhedron's surviving candidate list (in scalar enumeration order)
+    to the scalar dedupe + hull, so the cached vertices are exactly what
+    the property would have computed. Padding changes no result, so
+    slicing (each slice padded to its own widest member) changes none
+    either.
 
     The enumeration is also :func:`support2d._candidate_points`' vertex
     step (same ``FEAS_TOL``, determinant cut and slack formula; zero-normal
@@ -348,25 +350,7 @@ def _warm_vertex_slice(todo: Sequence["ConvexPolyhedron"]) -> None:
             nx[row, col] = a
             ny[row, col] = b
             beta[row, col] = rhs
-    i, j = np.triu_indices(m_max, k=1)
-    det = nx[:, i] * ny[:, j] - nx[:, j] * ny[:, i]
-    plane_scale = np.maximum(np.maximum(np.abs(nx), np.abs(ny)), 1.0)
-    usable = np.abs(det) > 1e-13 * (plane_scale[:, i] * plane_scale[:, j])
-    safe_det = np.where(usable, det, 1.0)
-    x = (beta[:, i] * ny[:, j] - beta[:, j] * ny[:, i]) / safe_det
-    y = (nx[:, i] * beta[:, j] - nx[:, j] * beta[:, i]) / safe_det
-    tol = support2d.FEAS_TOL
-    point_scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
-    slack = (
-        nx[:, None, :] * x[:, :, None]
-        + ny[:, None, :] * y[:, :, None]
-        - beta[:, None, :]
-    )
-    feasible = np.all(
-        slack <= (tol * plane_scale)[:, None, :] * point_scale[:, :, None],
-        axis=2,
-    )
-    good = usable & feasible
+    x, y, good = vertex_candidates(nx, ny, beta)
     contradiction = np.any((nx == 0.0) & (ny == 0.0) & (beta < 0.0), axis=1)
     for row, poly in enumerate(todo):
         raw = [
@@ -388,12 +372,55 @@ def _warm_vertex_slice(todo: Sequence["ConvexPolyhedron"]) -> None:
             poly._vertices = [tuple(p) for p in deduped]
 
 
+def vertex_candidates(
+    nx: np.ndarray, ny: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairwise constraint-line intersections of padded 2-D systems.
+
+    Row ``r`` holds one system ``nx·x + ny·y <= beta`` per column, padded
+    with ``(0, 0, 0)`` rows. Returns ``(x, y, good)``, each of shape
+    ``rows × pairs`` with the pairs in :meth:`ConvexPolyhedron.vertices`'
+    scalar order (``i < j`` row-major): the intersection point of lines
+    ``i`` and ``j``, and whether the pair is usable (determinant above
+    the scalar cut) and the point feasible within ``FEAS_TOL``. The
+    expressions are the scalar enumeration's, so every ``good`` point is
+    bit-identical to the one the scalar loop would produce; a padding
+    row never pairs (its determinant is 0) and never rejects (its slack
+    is 0).
+    """
+    i, j = _pairs(nx.shape[1])
+    det = nx[:, i] * ny[:, j] - nx[:, j] * ny[:, i]
+    plane_scale = np.maximum(np.maximum(np.abs(nx), np.abs(ny)), 1.0)
+    usable = np.abs(det) > 1e-13 * (plane_scale[:, i] * plane_scale[:, j])
+    safe_det = np.where(usable, det, 1.0)
+    x = (beta[:, i] * ny[:, j] - beta[:, j] * ny[:, i]) / safe_det
+    y = (nx[:, i] * beta[:, j] - nx[:, j] * beta[:, i]) / safe_det
+    tol = support2d.FEAS_TOL
+    point_scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
+    slack = (
+        nx[:, None, :] * x[:, :, None]
+        + ny[:, None, :] * y[:, :, None]
+        - beta[:, None, :]
+    )
+    feasible = np.all(
+        slack <= (tol * plane_scale)[:, None, :] * point_scale[:, :, None],
+        axis=2,
+    )
+    return x, y, usable & feasible
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(width, k=1)``, built once per width."""
+    return np.triu_indices(width, k=1)
+
+
 def _unit(dim: int, index: int, sign: float = 1.0) -> tuple[float, ...]:
     return tuple(sign if i == index else 0.0 for i in range(dim))
 
 
 def _dedupe_points(
-    points: Sequence[tuple[float, float]], tol: float = 1e-7
+    points: Sequence[tuple[float, float]], tol: float = DEDUPE_TOL
 ) -> list[tuple[float, float]]:
     result: list[tuple[float, float]] = []
     for p in points:

@@ -36,8 +36,10 @@ Two callers build surfaces:
   touches that tuple's rows and nothing else.
 
 Refinement (:func:`repro.core.planner.refine_candidates`) builds none:
-it runs the scalar predicates over candidates warmed by the same
-batched :func:`~repro.geometry.polyhedron.warm_batch`.
+it decides the fetched records with the columnar kernel
+:func:`repro.geometry.predicates.halfplane_rows`, a max over each
+record's candidate vertices, and runs the scalar predicates only on the
+records the kernel leaves undecided.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class DualSurface:
     """The dual representation of a tuple collection as flat numpy arrays.
 
     Build once per relation snapshot (one pass over the tuples), keep it
-    current with :meth:`insert` / :meth:`delete`, then evaluate
+    current with :meth:`append` / :meth:`delete`, then evaluate
     :meth:`top_at` / :meth:`bot_at` per slope — each evaluation is a
     handful of vectorized numpy operations over all tuples at once.
     Per-slope results are memoised until the next update, so a batch of

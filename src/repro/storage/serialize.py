@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +28,12 @@ from repro.errors import StorageError, TruncatedRecordError
 #: Encodings of Theta in tuple records.
 _THETA_CODES = {Theta.LE: 0, Theta.GE: 1, Theta.EQ: 2, Theta.LT: 3, Theta.GT: 4}
 _THETA_FROM_CODE = {v: k for k, v in _THETA_CODES.items()}
+
+#: One stored 2-D atom as :func:`encode_tuple` packs it: coefficients,
+#: constant and theta code (``<f8 f8 f8 u1``, 25 bytes).
+ATOM_2D = np.dtype(
+    [("a", "<f8"), ("b", "<f8"), ("const", "<f8"), ("theta", "u1")]
+)
 
 #: 4-byte record id / page pointer.
 RID_BYTES = 4
@@ -225,3 +231,105 @@ def decode_tuple(data: bytes) -> tuple[int, GeneralizedTuple]:
 def tuple_record_size(dim: int, num_atoms: int) -> int:
     """Byte size of an encoded tuple record."""
     return 6 + num_atoms * (8 * dim + 9)
+
+
+class HalfPlaneRows(NamedTuple):
+    """Tuple records decoded column-wise: ``nx·x + ny·y <= beta`` rows.
+
+    ``nx``/``ny``/``beta`` are ``records × width`` arrays padded with
+    ``(0, 0, 0)``; row ``r`` holds record ``r``'s atoms in the ``<=``
+    form the scalar engine derives from the normalised tuple
+    (``support2d.ineqs_from_atoms``). A record these arrays cannot stand
+    for (not 2-D, holding a non-finite value or a contradictory atom)
+    gets an all-padding row, which has no vertex, so
+    :func:`~repro.geometry.predicates.halfplane_rows` leaves it to
+    :func:`decode_tuple` and the scalar predicates.
+    """
+
+    tids: np.ndarray
+    nx: np.ndarray
+    ny: np.ndarray
+    beta: np.ndarray
+
+
+def decode_halfplanes_2d(payloads: Sequence[bytes]) -> HalfPlaneRows:
+    """Batch-decode tuple records into padded half-plane arrays.
+
+    One ``np.frombuffer`` over the joined atom bytes replaces one
+    :func:`decode_tuple` per record. The rows follow
+    :func:`~repro.constraints.normalize.normalize`: an ``=`` atom becomes
+    its ``>=`` and ``<=`` rows, strict atoms are closed, and a trivial
+    atom (zero coefficients) becomes padding when it is a tautology and
+    empties the record's row when it is a contradiction. Exact
+    duplicate atoms, which ``normalize`` drops, stay; they add no
+    vertex and reject no point. Raises what :func:`decode_tuple` on
+    each record in turn would raise first:
+    :class:`~repro.errors.TruncatedRecordError` for a record shorter
+    than its header promises, :class:`StorageError` for an unknown
+    theta code.
+    """
+    count = len(payloads)
+    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=count)
+    # Trailing zeros keep a short record's header read inside the buffer.
+    blob = np.frombuffer(b"".join([*payloads, bytes(6)]), dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    header = blob[starts[:, None] + np.arange(6)]
+    dims = header[:, 4].astype(np.int64)
+    atoms_per = header[:, 5].astype(np.int64)
+    stride = 8 * dims + 9
+    needed = np.where(lengths < 6, 6, 6 + atoms_per * stride)
+    torn = lengths < needed
+    whole = int(np.argmax(torn)) if torn.any() else count
+    # Theta codes of the records ahead of the first torn one, in order.
+    per = atoms_per[:whole]
+    owner = np.repeat(np.arange(whole), per)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(per) - per, per)
+    codes = blob[starts[owner] + 6 + (k + 1) * stride[owner] - 1]
+    for code in codes[codes > max(_THETA_FROM_CODE)][:1].tolist():
+        raise StorageError(f"unknown theta code {code} in tuple record")
+    if whole < count:
+        length = int(lengths[whole])
+        if length < 6:
+            raise TruncatedRecordError(
+                f"tuple record of {length} bytes is shorter than its header"
+            )
+        raise TruncatedRecordError(
+            f"tuple record of {length} bytes, header promises {needed[whole]}"
+        )
+    tids = header[:, :4].copy().view("<u4").ravel()
+    skip = dims != 2
+    counts = np.where(skip, 0, atoms_per)
+    atoms = np.frombuffer(
+        b"".join([
+            data[6 : 6 + 25 * m]
+            for data, m in zip(payloads, counts.tolist())
+            if m
+        ]),
+        dtype=ATOM_2D,
+    )
+    codes = atoms["theta"]
+    # Expand: one row per weak atom, the >= row of an = atom first.
+    eq = codes == _THETA_CODES[Theta.EQ]
+    source = np.repeat(np.arange(codes.size), np.where(eq, 2, 1))
+    first = np.ones(source.size, dtype=bool)
+    first[1:] = source[1:] != source[:-1]
+    ge = (codes == _THETA_CODES[Theta.GE]) | (codes == _THETA_CODES[Theta.GT])
+    ge = ge[source] | (eq[source] & first)
+    a, b, c = (atoms[f][source] for f in ("a", "b", "const"))
+    nx = np.where(ge, -a, a)
+    ny = np.where(ge, -b, b)
+    beta = np.where(ge, c, -c)
+    # Place the rows: record, then column within the record.
+    row = np.repeat(np.arange(count), counts)[source]
+    widths = np.bincount(row, minlength=count)
+    col = np.arange(row.size) - (np.cumsum(widths) - widths)[row]
+    trivial = (nx == 0.0) & (ny == 0.0)
+    finite = np.isfinite(nx) & np.isfinite(ny) & np.isfinite(beta)
+    bad = ~finite | (trivial & (beta < 0.0))
+    skip |= np.bincount(row, weights=bad, minlength=count) > 0
+    keep = ~skip[row] & ~trivial
+    width = max(2, int(widths.max(initial=0)))
+    out = [np.zeros((count, width)) for _ in range(3)]
+    for dest, values in zip(out, (nx, ny, beta)):
+        dest[row[keep], col[keep]] = values[keep]
+    return HalfPlaneRows(tids.astype(np.int64), *out)

@@ -74,6 +74,14 @@ from repro.verify.oracle import BruteForceOracle
 #: of the query intercept are tolerance artifacts, not bugs.
 BOUNDARY_BAND = 1e-4
 
+#: Most LP-vs-geometric boundary waivers per million fuzz queries that
+#: ``repro fuzz`` accepts. A 45 s run makes 650–1,000 queries, so the
+#: bound lets six to ten waivers pass there: waivers are tolerance
+#: artefacts, and 0 in 5,928 queries (seeds 1–6) only bounds their rate
+#: below about 5e-4. A change that widens boundary disagreement
+#: (geometric predicates accepting 2e-4 past a surface) read 354,167.
+WAIVER_BOUND_PER_MILLION = 10_000
+
 #: Default predefined slope set for fuzz rounds.
 DEFAULT_SLOPES = (-2.0, -0.5, 0.5, 2.0)
 
@@ -126,6 +134,11 @@ class FuzzReport:
     def ok(self) -> bool:
         """True when every path agreed on every query."""
         return not self.disagreements
+
+    @property
+    def waivers_per_million(self) -> float:
+        """Boundary waivers per million queries (0 before any query)."""
+        return self.waivers * 1e6 / self.queries if self.queries else 0.0
 
     def summary(self) -> str:
         """One human line for CLI / CI logs."""

@@ -74,3 +74,56 @@ def test_unknown_theta_is_bit_rot_not_tearing():
     with pytest.raises(StorageError, match="unknown theta") as exc:
         decode_tuple(bytes(record))
     assert not isinstance(exc.value, TruncatedRecordError)
+
+
+class _BandHeap:
+    """A heap stand-in whose fetch returns fixed records."""
+
+    def __init__(self, records):
+        self.records = records
+
+    def fetch_batch(self, rids):
+        return {rid: self.records[rid] for rid in rids}
+
+
+def _torn_bands():
+    good = encode_tuple(1, _tuple())
+    rotted = bytearray(encode_tuple(2, _tuple()))
+    rotted[-1] = 0xEE
+    yield TruncatedRecordError, [good, good[:5]]
+    yield TruncatedRecordError, [good, good[: len(good) - 3], good]
+    yield StorageError, [good, bytes(rotted)]
+    # The first fault in record order decides the class.
+    yield StorageError, [good, bytes(rotted), good[:5]]
+    yield StorageError, [bytes(rotted), good[: len(good) - 3]]
+    yield TruncatedRecordError, [good[: len(good) - 3], bytes(rotted)]
+
+
+@pytest.mark.parametrize("error, records", list(_torn_bands()))
+def test_batch_decode_raises_what_decode_tuple_raises(error, records):
+    from repro.storage.serialize import decode_halfplanes_2d
+
+    with pytest.raises(error) as batch:
+        decode_halfplanes_2d(records)
+    with pytest.raises(error) as scalar:
+        for record in records:
+            decode_tuple(record)
+    assert type(batch.value) is type(scalar.value)
+    assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("error, records", list(_torn_bands()))
+def test_refinement_band_raises_the_scalar_error_class(error, records):
+    """A torn or rotted record in a refinement band surfaces as the same
+    typed error through the columnar kernel as through decode_tuple."""
+    from repro.core.planner import refine_candidates
+    from repro.core.query import HalfPlaneQuery
+    from tests.conftest import scalar_refine
+
+    heap = _BandHeap(dict(enumerate(records)))
+    query = HalfPlaneQuery("EXIST", 0.5, 1.0, ">=")
+    with pytest.raises(error) as kernel:
+        refine_candidates(heap, query, range(len(records)))
+    with pytest.raises(error) as scalar:
+        scalar_refine(heap, query, range(len(records)))
+    assert type(kernel.value) is type(scalar.value)

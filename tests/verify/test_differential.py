@@ -165,3 +165,21 @@ def test_extended_fuzz_budget(tmp_path):
         FuzzConfig(seed=0xF022, budget_seconds=120.0, out_dir=str(tmp_path))
     )
     assert report.ok, report.disagreements
+
+
+@pytest.mark.parametrize("waivers, code", [(0, 0), (1, 0), (2, 0), (10, 0), (11, 1)])
+def test_cli_waiver_gate(monkeypatch, capsys, waivers, code):
+    """`repro fuzz` fails a clean run whose boundary waivers exceed
+    ``WAIVER_BOUND_PER_MILLION`` (10,000: ten per 1,000 queries, about
+    one 45 s run)."""
+    from repro import verify
+    from repro.cli import main
+    from repro.verify.differential import FuzzReport
+
+    def fake_run(config):
+        return FuzzReport(seed=config.seed, queries=1000, waivers=waivers)
+
+    monkeypatch.setattr(verify, "run_fuzz", fake_run)
+    assert main(["fuzz", "--budget", "1s"]) == code
+    if code:
+        assert "over the bound of 10000" in capsys.readouterr().out
