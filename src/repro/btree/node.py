@@ -87,16 +87,18 @@ class LeafArrays:
     ``keys`` is float64 ascending, ``rids`` int64 — the same values
     :class:`LeafNode` holds as Python lists, but as read-only numpy
     arrays so descent and sweeps can use ``np.searchsorted`` and slice
-    instead of per-entry comparisons. Decoded once per page image and
-    cached (:class:`repro.btree.columnar.ColumnarCache`); the page read
-    itself is still counted per touch, so logical accounting is
-    unchanged.
+    instead of per-entry comparisons. ``aux`` holds the handicap slots
+    the T2 sweeps read, as the same floats :class:`LeafNode` carries.
+    Decoded once per page image and cached
+    (:class:`repro.btree.columnar.ColumnarCache`); the page read itself
+    is still counted per touch, so logical accounting is unchanged.
     """
 
     keys: np.ndarray
     rids: np.ndarray
     prev: int
     next: int
+    aux: tuple[float, ...]
 
 
 @dataclass
@@ -206,27 +208,26 @@ class NodeLayout:
     def decode_leaf_arrays(self, data: bytes) -> LeafArrays:
         """Decode a leaf page into read-only numpy columns.
 
-        Carries exactly the information the read paths need (keys, rids,
-        chain links); aux slots and flags are write-path concerns and
-        stay on :meth:`decode_leaf`. Key values are bit-identical to the
-        scalar decoder's (same widening cast, no re-rounding).
+        Carries exactly the information the read paths need: keys, rids,
+        chain links and the aux (handicap) slots. Flags are a write-path
+        concern and stay on :meth:`decode_leaf`. Keys and aux values are
+        bit-identical to the scalar decoder's (same widening cast, no
+        re-rounding).
         """
         kind, _flags, count = _HEADER.unpack_from(data, 0)
         if kind != _LEAF_KIND:
             raise StorageError("page is not a leaf node")
         prev, nxt = _LINKS.unpack_from(data, _HEADER.size)
-        pos = (
-            _HEADER.size
-            + _LINKS.size
-            + self.aux_slots * self.key_codec.key_bytes
-        )
+        pos = _HEADER.size + _LINKS.size
+        aux = tuple(self.key_codec.decode_keys(data, self.aux_slots, pos))
+        pos += self.aux_slots * self.key_codec.key_bytes
         entries = np.frombuffer(data, dtype=self._entry_dtype,
                                 count=count, offset=pos)
         keys = entries["k"].astype(np.float64)
         rids = entries["r"].astype(np.int64)
         keys.flags.writeable = False
         rids.flags.writeable = False
-        return LeafArrays(keys, rids, prev, nxt)
+        return LeafArrays(keys, rids, prev, nxt, aux)
 
     def decode_internal_arrays(self, data: bytes) -> InternalArrays:
         """Decode an internal page into read-only numpy columns.

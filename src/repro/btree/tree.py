@@ -6,11 +6,14 @@ counted page access. The tree orders entries by the composite
 ``TOP``/``BOT`` value — keep a total order: separators are composite,
 deletes are exact, and the locate-left descent never has to chain-walk.
 
-Features: point/range search, ascending and descending leaf sweeps
-(``sweep_up``/``sweep_down``), insert with splits, delete with
-borrow/merge rebalancing, O(N) bottom-up bulk loading, per-leaf auxiliary
-"handicap" slots (Sections 4.2–4.3 of the paper) with a validity flag, and
-an invariant checker used by the test-suite.
+Features: point/range search, merged leaf sweeps on cached numpy
+columns (``sweep_up_multi``/``sweep_down_multi``, which every query path
+uses), per-leaf iterators over decoded nodes (``sweep_up``/``sweep_down``,
+for maintenance scans and as the tests' reference walk), insert with
+splits, delete with borrow/merge rebalancing, O(N) bottom-up bulk
+loading, per-leaf auxiliary "handicap" slots (Sections 4.2–4.3 of the
+paper) with a validity flag, and an invariant checker used by the
+test-suite.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class MultiSweep:
     ``starts`` argument: the entries serving ``starts[i]`` are the suffix
     ``keys[offsets[i]:]`` — for an up-sweep those are the keys
     ``>= starts[i]``, for a down-sweep the keys ``<= starts[i]``.
-    ``leaves`` is the number of leaf pages the shared sweep touched.
+    ``columns`` are the cached columns of the leaf pages the shared
+    sweep touched, in sweep order (the descent leaf first).
     """
 
     keys: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -64,7 +68,12 @@ class MultiSweep:
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
     offsets: list[int] = field(default_factory=list)
-    leaves: int = 0
+    columns: list[LeafArrays] = field(default_factory=list)
+
+    @property
+    def leaves(self) -> int:
+        """Leaf pages the shared sweep touched."""
+        return len(self.columns)
 
     def entries_for(self, i: int) -> tuple[list[float], list[int]]:
         """The (keys, rids) slice serving the i-th start key."""
@@ -166,9 +175,9 @@ class BPlusTree:
     def _read_internal(self, pid: int) -> InternalNode:
         return self.layout.decode_internal(self.pager.read(pid))
 
-    def _leaf_arrays(self, pid: int) -> LeafArrays:
+    def leaf_arrays(self, pid: int) -> LeafArrays:
         """Columnar leaf view. The ``pager.read`` is issued per touch —
-        one logical read, exactly like :meth:`_read_leaf` — only the
+        one logical read, exactly like :meth:`read_leaf` — only the
         decode is cached."""
         return self._columns.leaf(pid, self.pager.read(pid))
 
@@ -305,37 +314,21 @@ class BPlusTree:
         the page cost of the single widest sweep instead of one descent
         and one overlapping sweep per query.
         """
-        out = MultiSweep()
+        out = MultiSweep(offsets=[0] * len(starts))
         if self.root is None or len(starts) == 0:
-            out.offsets = [0] * len(starts)
             return out
         qstarts = self.codec.quantize_many(starts)
         lo = float(qstarts.min())
         with obs.span("descend", tree=self.name, height=self.height):
             pid = self._descend_left((lo, -1))
-        key_segs: list[np.ndarray] = []
-        rid_segs: list[np.ndarray] = []
-        while pid != NULL_PAGE:
-            arrs = self._leaf_arrays(pid)
-            obs.incr("btree.leaf_visits")
-            out.leaves += 1
-            obs.incr("comparisons", int(arrs.keys.size))
-            # Keys below ``lo`` can only exist in the descent leaf (the
-            # chain is globally sorted); the searchsorted trim is a no-op
-            # on every later leaf.
-            cut = int(np.searchsorted(arrs.keys, lo, side="left"))
-            if cut < arrs.keys.size:
-                key_segs.append(arrs.keys[cut:])
-                rid_segs.append(arrs.rids[cut:])
-            pid = arrs.next
-        if key_segs:
-            out.keys = np.concatenate(key_segs)
-            out.rids = np.concatenate(rid_segs)
-            out.offsets = np.searchsorted(
-                out.keys, qstarts, side="left"
-            ).tolist()
-        else:
-            out.offsets = [0] * len(starts)
+        out.columns = self._walk_columns(pid, upward=True)
+        # Keys below ``lo`` can only exist in the descent leaf (the
+        # chain is globally sorted), so only that leaf is trimmed.
+        first, rest = out.columns[0], out.columns[1:]
+        cut = int(np.searchsorted(first.keys, lo, side="left"))
+        out.keys = np.concatenate([first.keys[cut:]] + [c.keys for c in rest])
+        out.rids = np.concatenate([first.rids[cut:]] + [c.rids for c in rest])
+        out.offsets = np.searchsorted(out.keys, qstarts, side="left").tolist()
         return out
 
     def sweep_down_multi(self, starts: Sequence[float]) -> MultiSweep:
@@ -345,36 +338,39 @@ class BPlusTree:
         i-th query's entries are the suffix ``keys[offsets[i]:]`` of the
         *descending* entry list (its keys ``<= quantize(starts[i])``).
         """
-        out = MultiSweep()
+        out = MultiSweep(offsets=[0] * len(starts))
         if self.root is None or len(starts) == 0:
-            out.offsets = [0] * len(starts)
             return out
         qstarts = self.codec.quantize_many(starts)
         hi = float(qstarts.max())
         with obs.span("descend", tree=self.name, height=self.height):
             pid = self._descend_right((hi, _MAX_RID))
-        key_segs: list[np.ndarray] = []
-        rid_segs: list[np.ndarray] = []
-        while pid != NULL_PAGE:
-            arrs = self._leaf_arrays(pid)
-            obs.incr("btree.leaf_visits")
-            out.leaves += 1
-            obs.incr("comparisons", int(arrs.keys.size))
-            # Keys above ``hi`` can only exist in the descent leaf.
-            cut = int(np.searchsorted(arrs.keys, hi, side="right"))
-            if cut > 0:
-                key_segs.append(arrs.keys[cut - 1 :: -1])
-                rid_segs.append(arrs.rids[cut - 1 :: -1])
-            pid = arrs.prev
-        if key_segs:
-            out.keys = np.concatenate(key_segs)
-            out.rids = np.concatenate(rid_segs)
-            out.offsets = np.searchsorted(
-                -out.keys, -qstarts, side="left"
-            ).tolist()
-        else:
-            out.offsets = [0] * len(starts)
+        out.columns = self._walk_columns(pid, upward=False)
+        # Keys above ``hi`` can only exist in the descent leaf.
+        first, rest = out.columns[0], out.columns[1:]
+        cut = int(np.searchsorted(first.keys, hi, side="right"))
+        out.keys = np.concatenate(
+            [first.keys[:cut][::-1]] + [c.keys[::-1] for c in rest]
+        )
+        out.rids = np.concatenate(
+            [first.rids[:cut][::-1]] + [c.rids[::-1] for c in rest]
+        )
+        out.offsets = np.searchsorted(
+            -out.keys, -qstarts, side="left"
+        ).tolist()
         return out
+
+    def _walk_columns(self, pid: int, upward: bool) -> list[LeafArrays]:
+        """Columns of every leaf from ``pid`` to the end of the chain in
+        sweep direction, one counted read per leaf."""
+        columns: list[LeafArrays] = []
+        while pid != NULL_PAGE:
+            arrs = self.leaf_arrays(pid)
+            obs.incr("btree.leaf_visits")
+            obs.incr("comparisons", int(arrs.keys.size))
+            columns.append(arrs)
+            pid = arrs.next if upward else arrs.prev
+        return columns
 
     def items_from(
         self, from_key: float, inclusive: bool = True
@@ -759,15 +755,27 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def leaf_pids(self) -> Iterator[int]:
         """Leaf page ids, left to right (reads each leaf)."""
+        return (pid for pid, _columns in self.leaf_chain())
+
+    def leaf_chain(self) -> Iterator[tuple[int, LeafArrays]]:
+        """``(page id, columns)`` of every leaf, left to right (one
+        counted read each)."""
         pid = self.first_leaf
         while pid != NULL_PAGE:
-            leaf = self._read_leaf(pid)
-            yield pid
-            pid = leaf.next
+            arrs = self.leaf_arrays(pid)
+            yield pid, arrs
+            pid = arrs.next
 
     def read_leaf(self, pid: int) -> LeafNode:
         """Public leaf read (counted access) for maintenance layers."""
         return self._read_leaf(pid)
+
+    def set_handicaps(self, pid: int, values: Sequence[float]) -> None:
+        """Install valid handicap aggregates on leaf ``pid`` (one counted
+        read and one counted write)."""
+        leaf = self._read_leaf(pid)
+        leaf.set_handicaps(list(values))
+        self._write_leaf(pid, leaf)
 
     def write_leaf(self, pid: int, leaf: LeafNode) -> None:
         """Public leaf write (counted) for maintenance layers."""

@@ -17,6 +17,8 @@ found by both app-queries are the technique's *duplicates*.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.dual_index import DualIndex
 from repro.core.query import ALL, EXIST, AppQuery, HalfPlaneQuery
 from repro.core.slope_set import SlopeCase
@@ -57,43 +59,33 @@ def build_app_queries(
     return q1, q2
 
 
-def run_app_query(index: DualIndex, app: AppQuery) -> set[int]:
+def run_app_query(index: DualIndex, app: AppQuery) -> np.ndarray:
     """Execute one app-query with the restricted technique (Section 3).
 
-    Returns candidate RIDs. No early accepts: satisfying the app-query
-    says nothing final about the original query.
+    Returns the candidate RIDs (int64, distinct): one merged sweep from
+    the margin-widened intercept to the end of the leaf chain. No early
+    accepts: satisfying the app-query says nothing final about the
+    original query.
     """
     trees, upward = index.trees_for(app.query_type, app.theta)
     tree = trees[app.slope_index]
     margin = index.margin(app.intercept)
-    rids: set[int] = set()
     with obs.span("sweep.app", tree=tree.name, type=app.query_type):
         if upward:
-            start = app.intercept - margin
-            threshold = tree.quantize(start)
-            for visit in tree.sweep_up(start):
-                obs.incr("comparisons", len(visit.leaf.keys))
-                for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                    if key >= threshold:
-                        rids.add(rid)
+            sweep = tree.sweep_up_multi([app.intercept - margin])
         else:
-            start = app.intercept + margin
-            threshold = tree.quantize(start)
-            for visit in tree.sweep_down(start):
-                obs.incr("comparisons", len(visit.leaf.keys))
-                for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                    if key <= threshold:
-                        rids.add(rid)
-    return rids
+            sweep = tree.sweep_down_multi([app.intercept + margin])
+    return sweep.rids[sweep.offsets[0]:]
 
 
 def t1_candidates(
     index: DualIndex, query: HalfPlaneQuery, pivot_x: float = 0.0
-) -> tuple[set[int], int]:
-    """Candidate RIDs for ``query`` plus the duplicate count."""
+) -> tuple[np.ndarray, int]:
+    """Candidate RIDs (sorted int64) for ``query`` plus the duplicate
+    count."""
     q1, q2 = build_app_queries(index, query, pivot_x)
     rids1 = run_app_query(index, q1)
     rids2 = run_app_query(index, q2)
-    duplicates = len(rids1 & rids2)
+    duplicates = int(np.intersect1d(rids1, rids2, assume_unique=True).size)
     obs.incr("t1.duplicates", duplicates)
-    return rids1 | rids2, duplicates
+    return np.union1d(rids1, rids2), duplicates

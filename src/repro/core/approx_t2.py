@@ -14,12 +14,19 @@ disjoint key ranges, so no duplicates can occur:
 
 Both sweeps produce candidates only; the planner refines them against
 the exact predicate (false hits remain possible, duplicates do not).
+:func:`handicap_sweep` is the one implementation of the two sweeps, on
+the tree's cached leaf columns; the d-dimensional planner
+(:mod:`repro.core.ddim`, Section 4.4) runs it too, with its per-cell
+handicap slots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from repro.btree.tree import BPlusTree
 from repro.core.dual_index import (
@@ -36,13 +43,25 @@ from repro.storage.disk import NULL_PAGE
 
 
 @dataclass
-class T2Trace:
-    """Diagnostics of one T2 execution."""
+class HandicapSweep:
+    """What one primary plus secondary sweep collected.
 
-    candidates: set[int] = field(default_factory=set)
+    ``candidates`` holds distinct rids (int64): the two sweeps cover
+    disjoint key ranges of one tree.
+    """
+
+    candidates: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
     primary_leaves: int = 0
     secondary_leaves: int = 0
     handicap: float = math.nan  # low(q) or high(q)
+
+
+@dataclass
+class T2Trace(HandicapSweep):
+    """Diagnostics of one T2 execution."""
+
     anchor_index: int = -1
     side: str = ""
 
@@ -63,109 +82,86 @@ def t2_candidates(index: DualIndex, query: HalfPlaneQuery) -> T2Trace:
     anchor_index, side = anchor
     trees, upward = index.trees_for(query.query_type, query.theta)
     tree = trees[anchor_index]
+    if upward:  # EXIST(q(>=)) in B^up / ALL(q(>=)) in B^down
+        slot = AUX_LOW_NEXT if side == "next" else AUX_LOW_PREV
+    else:  # ALL(q(<=)) in B^up / EXIST(q(<=)) in B^down
+        slot = AUX_HIGH_NEXT if side == "next" else AUX_HIGH_PREV
     trace = T2Trace(anchor_index=anchor_index, side=side)
-    if upward:
-        _sweep_up_then_down(index, tree, query.intercept, side, trace)
-    else:
-        _sweep_down_then_up(index, tree, query.intercept, side, trace)
+    # Extension A7: when the query intercept lies beyond every
+    # assignment key, no tuple can require the secondary sweep — the
+    # end leaf's aggregate (which covers an unbounded assignment range)
+    # would otherwise force one.
+    extrema = index.assign_extrema.get((tree.name, side))
+    handicap_sweep(
+        trace, tree, query.intercept, upward, slot, index.margin, extrema
+    )
     return trace
 
 
-def _sweep_up_then_down(
-    index: DualIndex,
+def handicap_sweep(
+    out: HandicapSweep,
     tree: BPlusTree,
     intercept: float,
-    side: str,
-    trace: T2Trace,
+    upward: bool,
+    slot: int,
+    margin: Callable[[float], float],
+    extrema: tuple[float, float] | None = None,
 ) -> None:
-    """EXIST(q(>=)) in B^up / ALL(q(>=)) in B^down."""
-    slot = AUX_LOW_NEXT if side == "next" else AUX_LOW_PREV
-    margin = index.margin(intercept)
-    start = tree.quantize(intercept - margin)
-    # Extension A7: when the query intercept exceeds every assignment
-    # key, no tuple can require the secondary sweep — the last leaf's
-    # aggregate (which covers an unbounded assignment range) would
-    # otherwise force one.
-    extrema = index.assign_extrema.get((tree.name, side))
-    secondary_possible = extrema is None or start <= extrema[1]
-    low_q = math.inf
-    first_visit = None
-    with obs.span("sweep.primary", tree=tree.name):
-        for visit in tree.sweep_up(start):
-            if first_visit is None:
-                first_visit = visit
-            trace.primary_leaves += 1
-            aux = visit.leaf.aux[slot]
-            if aux < low_q:
-                low_q = aux
-            obs.incr("comparisons", len(visit.leaf.keys))
-            for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                if key >= start:
-                    trace.candidates.add(rid)
-    trace.handicap = low_q
-    if first_visit is None or low_q >= start or not secondary_possible:
-        return
-    # Secondary, downward sweep: keys in [low(q) - margin, start). The
-    # first leaf was already decoded by the primary sweep — charge no
-    # second access for it (the paper: "the search accesses a leaf node
-    # only once").
-    threshold = tree.quantize(low_q - index.margin(low_q))
-    leaf = first_visit.leaf
-    with obs.span("sweep.secondary", tree=tree.name):
-        while True:
-            obs.incr("comparisons", len(leaf.keys))
-            for key, rid in zip(leaf.keys, leaf.rids):
-                if threshold <= key < start:
-                    trace.candidates.add(rid)
-            if leaf.keys and leaf.keys[0] < threshold:
-                return
-            if leaf.prev == NULL_PAGE:
-                return
-            leaf = tree.read_leaf(leaf.prev)
-            trace.secondary_leaves += 1
+    """The primary and secondary sweep of one tree, filling ``out``.
 
-
-def _sweep_down_then_up(
-    index: DualIndex,
-    tree: BPlusTree,
-    intercept: float,
-    side: str,
-    trace: T2Trace,
-) -> None:
-    """ALL(q(<=)) in B^up / EXIST(q(<=)) in B^down."""
-    slot = AUX_HIGH_NEXT if side == "next" else AUX_HIGH_PREV
-    margin = index.margin(intercept)
-    start = tree.quantize(intercept + margin)
-    extrema = index.assign_extrema.get((tree.name, side))
-    secondary_possible = extrema is None or start >= extrema[0]
-    high_q = -math.inf
-    first_visit = None
-    with obs.span("sweep.primary", tree=tree.name):
-        for visit in tree.sweep_down(start):
-            if first_visit is None:
-                first_visit = visit
-            trace.primary_leaves += 1
-            aux = visit.leaf.aux[slot]
-            if aux > high_q:
-                high_q = aux
-            obs.incr("comparisons", len(visit.leaf.keys))
-            for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                if key <= start:
-                    trace.candidates.add(rid)
-    trace.handicap = high_q
-    if first_visit is None or high_q <= start or not secondary_possible:
-        return
-    threshold = tree.quantize(high_q + index.margin(high_q))
-    leaf = first_visit.leaf
-    with obs.span("sweep.secondary", tree=tree.name):
-        while True:
-            obs.incr("comparisons", len(leaf.keys))
-            for key, rid in zip(leaf.keys, leaf.rids):
-                if start < key <= threshold:
-                    trace.candidates.add(rid)
-            if leaf.keys and leaf.keys[-1] > threshold:
-                return
-            if leaf.next == NULL_PAGE:
-                return
-            leaf = tree.read_leaf(leaf.next)
-            trace.secondary_leaves += 1
+    The primary sweep is one merged sweep from the margin-widened,
+    quantized intercept to the end of the leaf chain; the handicap is
+    the min (upward) or max (downward) of the visited leaves' aux
+    ``slot``. The secondary sweep walks the other way from the first
+    primary leaf, collecting keys in ``[low(q) - margin, start)`` (or
+    ``(start, high(q) + margin]``). That leaf's columns are already at
+    hand, so it costs no second access (the paper: "the search accesses
+    a leaf node only once"). ``extrema`` is the tree's ``(min, max)``
+    assignment key range for extension A7: a start beyond it skips the
+    secondary sweep.
+    """
+    if upward:
+        start = tree.quantize(intercept - margin(intercept))
+        with obs.span("sweep.primary", tree=tree.name):
+            primary = tree.sweep_up_multi([start])
+        handicap = min(
+            (leaf.aux[slot] for leaf in primary.columns), default=math.inf
+        )
+        needed = handicap < start and (extrema is None or start <= extrema[1])
+    else:
+        start = tree.quantize(intercept + margin(intercept))
+        with obs.span("sweep.primary", tree=tree.name):
+            primary = tree.sweep_down_multi([start])
+        handicap = max(
+            (leaf.aux[slot] for leaf in primary.columns), default=-math.inf
+        )
+        needed = handicap > start and (extrema is None or start >= extrema[0])
+    out.primary_leaves = primary.leaves
+    out.handicap = handicap
+    segments = [primary.rids[primary.offsets[0]:]]
+    if needed:  # never with no primary leaf: the handicap is then ±inf
+        if upward:
+            bound = tree.quantize(handicap - margin(handicap))
+        else:
+            bound = tree.quantize(handicap + margin(handicap))
+        leaf = primary.columns[0]
+        with obs.span("sweep.secondary", tree=tree.name):
+            while True:
+                keys = leaf.keys
+                obs.incr("comparisons", int(keys.size))
+                if upward:
+                    lo = np.searchsorted(keys, bound, side="left")
+                    hi = np.searchsorted(keys, start, side="left")
+                    done = keys.size > 0 and keys[0] < bound
+                    pid = leaf.prev
+                else:
+                    lo = np.searchsorted(keys, start, side="right")
+                    hi = np.searchsorted(keys, bound, side="right")
+                    done = keys.size > 0 and keys[-1] > bound
+                    pid = leaf.next
+                segments.append(leaf.rids[lo:hi])
+                if done or pid == NULL_PAGE:
+                    break
+                leaf = tree.leaf_arrays(pid)
+                out.secondary_leaves += 1
+    out.candidates = np.concatenate(segments)

@@ -20,18 +20,20 @@ implicit assumption that queries stay near ``S``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.btree.tree import BPlusTree
 from repro.constraints.relation import GeneralizedRelation
+from repro.core.approx_t2 import HandicapSweep, handicap_sweep
 from repro.core.planner import refine_candidates
 from repro.core.proximity import KDTree, voronoi_neighbors
 from repro.core.query import ALL, EXIST, HalfPlaneQuery, QueryResult
 from repro.errors import IndexError_, QueryError, SlopeSetError
 from repro.geometry import dual
 from repro.obs import trace as obs
-from repro.storage.disk import NULL_PAGE
 from repro.storage.heap import HeapFile
 from repro.storage.pager import Pager
 from repro.storage.serialize import KeyCodec, decode_tuple, encode_tuple
@@ -142,13 +144,10 @@ class SlopePointSet:
 
 
 @dataclass
-class DDimTrace:
+class DDimTrace(HandicapSweep):
     """Diagnostics of one d-dimensional T2 execution."""
 
-    candidates: set[int] = field(default_factory=set)
     anchor: int = -1
-    primary_leaves: int = 0
-    secondary_leaves: int = 0
 
 
 class DDimDualIndex:
@@ -228,40 +227,33 @@ class DDimDualIndex:
             self._write_aggregates(i, assigns)
 
     def _write_aggregates(self, i: int, assigns) -> None:
+        """Per-leaf min/max of the tree keys of the tuples whose
+        assignment key (``a_top``/``a_bot`` of anchor ``i``) the leaf
+        owns: the leaf with the last first-key ``<=`` the assignment key
+        (the first leaf below every first key)."""
         for tree in (self.up[i], self.down[i]):
-            pids = list(tree.leaf_pids())
-            if not pids:
+            chain = list(tree.leaf_chain())
+            if not chain:
                 continue
-            leaves = [tree.read_leaf(pid) for pid in pids]
-            boundaries = [leaf.keys[0] for leaf in leaves]
-
-            def owner(value: float) -> int:
-                lo, hi = 0, len(boundaries)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if boundaries[mid] <= value:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                return max(0, lo - 1)
-
-            aggregates = [[math.inf, -math.inf] for _ in pids]
+            bounds = np.array([columns.keys[0] for _pid, columns in chain])
             # Tree key per rid, read back from the freshly loaded leaves.
-            rid_key: dict[int, float] = {}
-            for leaf in leaves:
-                for key, rid in zip(leaf.keys, leaf.rids):
-                    rid_key[rid] = key
-            for rid, (a_top, a_bot) in assigns.items():
-                value = rid_key[rid]
-                low_owner = owner(tree.quantize(a_top[i]))
-                if value < aggregates[low_owner][AUX_LOW]:
-                    aggregates[low_owner][AUX_LOW] = value
-                high_owner = owner(tree.quantize(a_bot[i]))
-                if value > aggregates[high_owner][AUX_HIGH]:
-                    aggregates[high_owner][AUX_HIGH] = value
-            for pid, leaf, aux in zip(pids, leaves, aggregates):
-                leaf.set_handicaps(aux)
-                tree.write_leaf(pid, leaf)
+            key_of = {}
+            for _pid, columns in chain:
+                key_of.update(zip(columns.rids.tolist(), columns.keys.tolist()))
+            values = np.array([key_of[rid] for rid in assigns])
+            tops = tree.codec.quantize_many([a[i] for a, _b in assigns.values()])
+            bots = tree.codec.quantize_many([b[i] for _a, b in assigns.values()])
+            aggregates = np.empty((len(chain), 2))
+            aggregates[:, AUX_LOW] = math.inf
+            aggregates[:, AUX_HIGH] = -math.inf
+
+            def owners(keys: np.ndarray) -> np.ndarray:
+                return np.maximum(np.searchsorted(bounds, keys, "right") - 1, 0)
+
+            np.minimum.at(aggregates[:, AUX_LOW], owners(tops), values)
+            np.maximum.at(aggregates[:, AUX_HIGH], owners(bots), values)
+            for (pid, _columns), aux in zip(chain, aggregates.tolist()):
+                tree.set_handicaps(pid, aux)
 
     # ------------------------------------------------------------------
     # helpers
@@ -362,9 +354,11 @@ class DDimPlanner:
         with obs.span("sweep.ddim"):
             trace = self._t2(query)
         result = QueryResult(technique=f"T2-d{self.index.dimension}")
-        result.candidates = len(trace.candidates)
+        result.candidates = int(trace.candidates.size)
         result.ids, result.false_hits, result.refinement_pages = (
-            refine_candidates(self.index.heap, query, trace.candidates)
+            refine_candidates(
+                self.index.heap, query, trace.candidates.tolist()
+            )
         )
         return result
 
@@ -372,57 +366,13 @@ class DDimPlanner:
         index = self.index
         anchor = index.slopes.nearest(query.slope)
         trees, upward = index.trees_for(query.query_type, query.theta)
-        tree = trees[anchor]
         trace = DDimTrace(anchor=anchor)
-        margin = index.margin(query.intercept)
-        if tree.root is None:
-            return trace
-        if upward:
-            start = tree.quantize(query.intercept - margin)
-            bound = math.inf
-            first = None
-            for visit in tree.sweep_up(start):
-                if first is None:
-                    first = visit
-                trace.primary_leaves += 1
-                bound = min(bound, visit.leaf.aux[AUX_LOW])
-                for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                    if key >= start:
-                        trace.candidates.add(rid)
-            if first is None or bound >= start:
-                return trace
-            threshold = tree.quantize(bound - index.margin(bound))
-            leaf = first.leaf
-            while True:
-                for key, rid in zip(leaf.keys, leaf.rids):
-                    if threshold <= key < start:
-                        trace.candidates.add(rid)
-                if (leaf.keys and leaf.keys[0] < threshold) or leaf.prev == NULL_PAGE:
-                    return trace
-                leaf = tree.read_leaf(leaf.prev)
-                trace.secondary_leaves += 1
-        else:
-            start = tree.quantize(query.intercept + margin)
-            bound = -math.inf
-            first = None
-            for visit in tree.sweep_down(start):
-                if first is None:
-                    first = visit
-                trace.primary_leaves += 1
-                bound = max(bound, visit.leaf.aux[AUX_HIGH])
-                for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
-                    if key <= start:
-                        trace.candidates.add(rid)
-            if first is None or bound <= start:
-                return trace
-            threshold = tree.quantize(bound + index.margin(bound))
-            leaf = first.leaf
-            while True:
-                for key, rid in zip(leaf.keys, leaf.rids):
-                    if start < key <= threshold:
-                        trace.candidates.add(rid)
-                if (leaf.keys and leaf.keys[-1] > threshold) or leaf.next == NULL_PAGE:
-                    return trace
-                leaf = tree.read_leaf(leaf.next)
-                trace.secondary_leaves += 1
+        handicap_sweep(
+            trace,
+            trees[anchor],
+            query.intercept,
+            upward,
+            AUX_LOW if upward else AUX_HIGH,
+            index.margin,
+        )
         return trace

@@ -923,10 +923,8 @@ def _write_aggregates(
             np.maximum.at(
                 aggregates[:, slot], owners(pairs[:, 0]), pairs[:, 1]
             )
-    for pid, aux in zip(pids, aggregates):
-        leaf = tree.read_leaf(pid)
-        leaf.set_handicaps(aux.tolist())
-        tree.write_leaf(pid, leaf)
+    for pid, aux in zip(pids, aggregates.tolist()):
+        tree.set_handicaps(pid, aux)
 
 
 def _directory_range(tree: BPlusTree, lo: float, hi: float) -> Iterator[int]:

@@ -292,7 +292,7 @@ class DualIndexPlanner:
         return result
 
     def _settle_and_refine(
-        self, query: HalfPlaneQuery, rids: set[int], result: QueryResult
+        self, query: HalfPlaneQuery, candidates: np.ndarray, result: QueryResult
     ) -> None:
         """Settle the candidates from their summaries, refine the band.
 
@@ -302,7 +302,6 @@ class DualIndexPlanner:
         false hits.
         """
         index = self.index
-        candidates = np.fromiter(rids, dtype=np.int64, count=len(rids))
         with obs.span("settle"):
             rows, summary_pages = index.summaries.read(candidates)
             hit, miss = settle(rows, index.slopes, query, index.margin_scale)

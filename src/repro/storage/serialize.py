@@ -185,16 +185,21 @@ def encode_tuple(tuple_id: int, t: GeneralizedTuple) -> bytes:
     precision: the refinement step and dynamic key re-derivation both
     work from fetched records, so record decoding must be lossless.
     (The 4-byte value size of the paper governs *index* keys/pointers,
-    which dominate the structures Figure 10 compares.)
+    which dominate the structures Figure 10 compares.) A syntactically
+    false tuple also stores one canonical false atom ``0 + 1 <= 0``:
+    normalisation drops contradictory atoms, so without it the record
+    would decode as satisfiable (or, with no atom left, not at all).
     """
     dim = t.dimension
-    atoms = t.constraints
+    atoms = [(atom.coeffs, atom.const, atom.theta) for atom in t.constraints]
+    if t.syntactically_false:
+        atoms.append(((0.0,) * dim, 1.0, Theta.LE))
     if dim > 255 or len(atoms) > 255:
         raise StorageError("tuple too wide for the record layout")
     parts = [struct.pack("<IBB", tuple_id, dim, len(atoms))]
-    for atom in atoms:
-        parts.append(struct.pack(f"<{dim}d", *atom.coeffs))
-        parts.append(struct.pack("<dB", atom.const, _THETA_CODES[atom.theta]))
+    for coeffs, const, theta in atoms:
+        parts.append(struct.pack(f"<{dim}d", *coeffs))
+        parts.append(struct.pack("<dB", const, _THETA_CODES[theta]))
     return b"".join(parts)
 
 

@@ -98,6 +98,77 @@ def scalar_refine(heap, query, rids):
     return confirmed, false_hits, pages
 
 
+def reference_app_sweep(tree, start, upward):
+    """Reference restricted sweep: ``sweep_up``/``sweep_down`` from
+    ``start``, entries filtered one by one. Returns ``(rids, pages)``."""
+    threshold = tree.quantize(start)
+    rids = []
+    with tree.pager.measure() as scope:
+        walk = tree.sweep_up(start) if upward else tree.sweep_down(start)
+        for visit in walk:
+            for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
+                if (key >= threshold) if upward else (key <= threshold):
+                    rids.append(rid)
+    return rids, scope.delta.logical_reads
+
+
+def reference_handicap_sweep(tree, intercept, upward, slot, margin,
+                             extrema=None):
+    """Reference T2 walk over decoded leaves (Sections 4.2–4.4).
+
+    The primary sweep is ``sweep_up``/``sweep_down`` from the quantized,
+    margin-widened intercept; the secondary sweep walks ``read_leaf``
+    the other way from the first primary leaf (not read again) while
+    the keys stay inside the margin-widened handicap. ``extrema`` is the
+    A7 assignment key range. Returns ``(rids, primary leaves, secondary
+    leaves, pages)``.
+    """
+    from repro.storage.disk import NULL_PAGE
+
+    rids = []
+    primary = secondary = 0
+    with tree.pager.measure() as scope:
+        if upward:
+            start = tree.quantize(intercept - margin(intercept))
+            possible = extrema is None or start <= extrema[1]
+            walk, handicap, pick = tree.sweep_up(start), math.inf, min
+        else:
+            start = tree.quantize(intercept + margin(intercept))
+            possible = extrema is None or start >= extrema[0]
+            walk, handicap, pick = tree.sweep_down(start), -math.inf, max
+        first = None
+        for visit in walk:
+            first = visit.leaf if first is None else first
+            primary += 1
+            handicap = pick(handicap, visit.leaf.aux[slot])
+            for key, rid in zip(visit.leaf.keys, visit.leaf.rids):
+                if (key >= start) if upward else (key <= start):
+                    rids.append(rid)
+        if upward:
+            possible = possible and handicap < start
+            bound = tree.quantize(handicap - margin(handicap))
+        else:
+            possible = possible and handicap > start
+            bound = tree.quantize(handicap + margin(handicap))
+        leaf = first if possible else None
+        while leaf is not None:
+            for key, rid in zip(leaf.keys, leaf.rids):
+                inside = bound <= key < start if upward else start < key <= bound
+                if inside:
+                    rids.append(rid)
+            if upward:
+                done = bool(leaf.keys) and leaf.keys[0] < bound
+                pid = leaf.prev
+            else:
+                done = bool(leaf.keys) and leaf.keys[-1] > bound
+                pid = leaf.next
+            if done or pid == NULL_PAGE:
+                break
+            leaf = tree.read_leaf(pid)
+            secondary += 1
+    return rids, primary, secondary, scope.delta.logical_reads
+
+
 def fan_batch(k: int, width: int = 20) -> list:
     """The slope-group fan: ``k × width × 4`` exact-path queries.
 

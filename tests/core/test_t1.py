@@ -13,12 +13,17 @@ from repro.core import (
     HalfPlaneQuery,
     SlopeSet,
     build_app_queries,
+    run_app_query,
     t1_candidates,
 )
 from repro.errors import QueryError
 from repro.geometry.predicates import evaluate_relation, halfplane_constraint
 from repro.storage import KeyCodec, Pager
-from tests.conftest import random_bounded_tuple, random_mixed_relation
+from tests.conftest import (
+    random_bounded_tuple,
+    random_mixed_relation,
+    reference_app_sweep,
+)
 
 
 @pytest.fixture
@@ -171,3 +176,45 @@ class TestEndToEnd:
             res = planner.query(HalfPlaneQuery(qtype, a, b, theta))
             want = evaluate_relation(relation, qtype, a, b, theta)
             assert res.ids == want, (qtype, theta, a, b, res.technique)
+
+
+class TestColumnSweepMatchesReferenceWalk:
+    """App-queries on cached columns against the per-leaf
+    ``sweep_up``/``sweep_down`` walk they replaced."""
+
+    @pytest.mark.parametrize("qtype", [ALL, EXIST])
+    @pytest.mark.parametrize("theta", [Theta.GE, Theta.LE])
+    def test_app_queries_and_union(self, rng, qtype, theta):
+        relation = random_mixed_relation(rng, 150, unbounded_fraction=0.2)
+        idx = DualIndex(Pager(page_size=512), SlopeSet([-1.5, 0.0, 1.5]),
+                        KeyCodec(4))
+        idx.build(relation)
+        intercepts = [rng.uniform(-60, 60) for _ in range(20)] + [1e8, -1e8]
+        for b in intercepts:
+            a = rng.choice([rng.uniform(-5, 5), -3.0, 3.0, 0.7])
+            q = HalfPlaneQuery(qtype, a, b, theta)
+            reference = []
+            for app in build_app_queries(idx, q):
+                trees, upward = idx.trees_for(app.query_type, app.theta)
+                margin = idx.margin(app.intercept)
+                start = app.intercept - margin if upward else app.intercept + margin
+                rids, pages = reference_app_sweep(
+                    trees[app.slope_index], start, upward
+                )
+                with idx.pager.measure() as scope:
+                    got = run_app_query(idx, app)
+                assert sorted(got.tolist()) == sorted(rids), (q, app)
+                assert scope.delta.logical_reads == pages, (q, app)
+                reference.append(set(rids))
+            union, duplicates = t1_candidates(idx, q)
+            assert union.tolist() == sorted(reference[0] | reference[1])
+            assert duplicates == len(reference[0] & reference[1])
+
+    def test_empty_tree(self):
+        idx = DualIndex(Pager(), SlopeSet([-1.5, 0.0, 1.5]), KeyCodec(8))
+        idx.build(GeneralizedRelation())
+        q = HalfPlaneQuery(EXIST, 0.7, 0.0, Theta.GE)
+        with idx.pager.measure() as scope:
+            rids, duplicates = t1_candidates(idx, q)
+        assert rids.size == 0 and duplicates == 0
+        assert scope.delta.logical_reads == 0

@@ -1,7 +1,7 @@
 """Technique T2 tests: handicap search correctness and no-duplicate
 guarantee."""
 
-
+import numpy as np
 import pytest
 
 from repro.constraints import GeneralizedRelation, Theta
@@ -14,10 +14,20 @@ from repro.core import (
     SlopeSet,
     t2_candidates,
 )
+from repro.core.dual_index import (
+    AUX_HIGH_NEXT,
+    AUX_HIGH_PREV,
+    AUX_LOW_NEXT,
+    AUX_LOW_PREV,
+)
 from repro.errors import QueryError
 from repro.geometry.predicates import evaluate_relation
 from repro.storage import KeyCodec, Pager
-from tests.conftest import random_bounded_tuple, random_mixed_relation
+from tests.conftest import (
+    random_bounded_tuple,
+    random_mixed_relation,
+    reference_handicap_sweep,
+)
 
 SLOPES = SlopeSet([-1.5, -0.4, 0.4, 1.5])
 
@@ -75,18 +85,13 @@ class TestTrace:
         for _ in range(40):
             q = random_interior_query(rng)
             trace = t2_candidates(idx, q)
-            # candidates is a set by implementation; verify against the
-            # total entry count the two sweeps could have produced:
-            trees, _up = idx.trees_for(q.query_type, q.theta)
-            tree = trees[trace.anchor_index]
-            all_entries = list(tree.items())
-            assert len(trace.candidates) <= len(all_entries)
+            assert np.unique(trace.candidates).size == trace.candidates.size
 
     def test_empty_index(self):
         idx = DualIndex(Pager(), SLOPES, KeyCodec(8))
         idx.build(GeneralizedRelation())
         trace = t2_candidates(idx, HalfPlaneQuery(EXIST, 0.9, 0.0, Theta.GE))
-        assert trace.candidates == set()
+        assert trace.candidates.size == 0
 
     def test_query_above_all_keys_is_cheap_and_empty(self, index):
         """A query above every key sweeps one leaf upward; the secondary
@@ -166,3 +171,98 @@ class TestUnboundedObjects:
         # for x negative enough... check against the oracle instead:
         want = evaluate_relation(relation, EXIST, 0.9, 5.0, Theta.GE)
         assert res.ids == want
+
+
+FORMS = [(EXIST, Theta.GE), (EXIST, Theta.LE), (ALL, Theta.GE), (ALL, Theta.LE)]
+
+
+def reference_t2(idx, q, a7=True):
+    """The T2 walk over decoded leaves, with the slot and the A7 range
+    derived here rather than by :func:`t2_candidates`."""
+    anchor_index, side = idx.slopes.anchor_for(q.slope_2d)
+    trees, upward = idx.trees_for(q.query_type, q.theta)
+    tree = trees[anchor_index]
+    if upward:
+        slot = AUX_LOW_NEXT if side == "next" else AUX_LOW_PREV
+    else:
+        slot = AUX_HIGH_NEXT if side == "next" else AUX_HIGH_PREV
+    extrema = idx.assign_extrema.get((tree.name, side)) if a7 else None
+    return reference_handicap_sweep(
+        tree, q.intercept, upward, slot, idx.margin, extrema
+    )
+
+
+def assert_matches_reference(idx, q):
+    """Same rids, leaf counts and page reads as the reference walk;
+    returns the trace."""
+    rids, primary, secondary, pages = reference_t2(idx, q)
+    with idx.pager.measure() as scope:
+        trace = t2_candidates(idx, q)
+    assert sorted(trace.candidates.tolist()) == sorted(rids), q
+    assert trace.candidates.dtype == np.int64
+    assert (trace.primary_leaves, trace.secondary_leaves) == \
+        (primary, secondary), q
+    assert scope.delta.logical_reads == pages, q
+    return trace
+
+
+class TestColumnSweepMatchesReferenceWalk:
+    """:func:`handicap_sweep` on cached columns against the per-leaf
+    ``sweep_up``/``sweep_down`` + ``read_leaf`` walk it replaced."""
+
+    @pytest.mark.parametrize("key_bytes", [4, 8])
+    @pytest.mark.parametrize("qtype,theta", FORMS)
+    def test_both_sides_all_forms(self, rng, key_bytes, qtype, theta):
+        relation = random_mixed_relation(rng, 150, unbounded_fraction=0.2)
+        idx = DualIndex(Pager(page_size=512), SLOPES, KeyCodec(key_bytes))
+        idx.build(relation)
+        sides = set()
+        secondary = 0
+        for _ in range(40):
+            q = random_interior_query(rng, qtype, theta)
+            trace = assert_matches_reference(idx, q)
+            sides.add(trace.side)
+            secondary += trace.secondary_leaves
+        assert sides == {"prev", "next"}
+        assert secondary > 0  # the secondary walk crossed leaves
+
+    def test_a7_skip(self, index):
+        """Above every assignment key, A7 drops a secondary sweep the
+        end leaf's unbounded aggregate would otherwise force."""
+        idx, _ = index
+        for qtype, theta in FORMS:
+            intercept = 1e8 if theta is Theta.GE else -1e8
+            q = HalfPlaneQuery(qtype, 0.9, intercept, theta)
+            trace = assert_matches_reference(idx, q)
+            assert trace.candidates.size == 0
+            without_a7 = reference_t2(idx, q, a7=False)[0]
+            assert without_a7, (qtype, theta)
+
+    def test_empty_tree(self):
+        idx = DualIndex(Pager(), SLOPES, KeyCodec(8))
+        idx.build(GeneralizedRelation())
+        for qtype, theta in FORMS:
+            q = HalfPlaneQuery(qtype, 0.9, 0.0, theta)
+            trace = assert_matches_reference(idx, q)
+            assert trace.primary_leaves == 0
+
+    def test_dynamic_index_after_updates(self, rng):
+        """Inserts and deletes rewrite leaves and their aux slots; the
+        column cache must serve the new slots, before and after
+        ``refresh_handicaps``."""
+        tuples = [random_bounded_tuple(rng) for _ in range(160)]
+        idx = DualIndex(Pager(page_size=512), SLOPES, KeyCodec(4),
+                        dynamic=True)
+        idx.build(GeneralizedRelation(tuples[:100]))
+        queries = [random_interior_query(rng) for _ in range(30)]
+        for q in queries:  # warm the column cache
+            assert_matches_reference(idx, q)
+        for tid, t in enumerate(tuples[100:], start=100):
+            idx.insert(tid, t)
+        for tid in range(0, 100, 3):
+            idx.delete(tid)
+        for q in queries:
+            assert_matches_reference(idx, q)
+        assert idx.refresh_handicaps() > 0
+        for q in queries:
+            assert_matches_reference(idx, q)

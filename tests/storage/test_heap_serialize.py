@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.constraints import parse_tuple
+from repro.constraints import GeneralizedTuple, LinearConstraint, Theta, parse_tuple
 from repro.errors import PageOverflowError, StorageError
 from repro.storage import (
     HeapFile,
@@ -17,6 +17,7 @@ from repro.storage import (
     tuple_record_size,
     unpack_rid,
 )
+from repro.storage.serialize import decode_halfplanes_2d
 from tests.conftest import random_bounded_tuple
 
 
@@ -87,6 +88,27 @@ class TestTupleRecords:
         got_tid, back = decode_tuple(encode_tuple(tid, t))
         assert got_tid == tid
         assert back == t
+
+    @pytest.mark.parametrize("atoms", [
+        [LinearConstraint((1.0, 0.0), -1.0, Theta.LE),
+         LinearConstraint((0.0, 0.0), 1.0, Theta.LE)],
+        [LinearConstraint((0.0, 0.0), 1.0, Theta.LE)],
+    ], ids=["with-satisfiable-atom", "false-atom-only"])
+    def test_syntactically_false_roundtrip(self, atoms):
+        """A contradictory atom that normalisation dropped still reaches
+        the record, so the tuple decodes as unsatisfiable, and the batch
+        decoder leaves its row all padding (never decided)."""
+        t = GeneralizedTuple(atoms)
+        assert t.syntactically_false
+        data = encode_tuple(7, t)
+        tid, back = decode_tuple(data)
+        assert tid == 7
+        assert back.syntactically_false
+        assert back == t
+        rows = decode_halfplanes_2d([data])
+        assert rows.tids.tolist() == [7]
+        for column in (rows.nx, rows.ny, rows.beta):
+            assert not column.any()
 
 
 class TestHeapFile:
