@@ -175,8 +175,6 @@ class DDimDualIndex:
             BPlusTree(self.pager, self.codec, 2, f"{name}.down[{i}]")
             for i in range(k)
         ]
-        self.rid_of: dict[int, int] = {}
-        self.tid_of: dict[int, int] = {}
         self.size = 0
         self.skipped: list[int] = []
         self.dimension = slopes.slope_dim + 1
@@ -203,8 +201,6 @@ class DDimDualIndex:
                 self.skipped.append(tid)
                 continue
             rid = self.heap.insert(encode_tuple(tid, t))
-            self.rid_of[tid] = rid
-            self.tid_of[rid] = tid
             a_top: list[float] = []
             a_bot: list[float] = []
             for i in range(k):

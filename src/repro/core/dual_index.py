@@ -56,11 +56,6 @@ NO_HIGH = -math.inf
 
 _SIDES = ("prev", "next")
 
-#: Largest packed-RID value for which the rid -> tid translation keeps a
-#: dense gather table (32 MB of int64 at the limit); sparser rid spaces
-#: fall back to binary search over the sorted translation arrays.
-_DENSE_LUT_LIMIT = 1 << 22
-
 
 @dataclass
 class EntryKeys:
@@ -322,18 +317,12 @@ class DualIndex:
                     self.dir_bot[i][side] = BPlusTree(
                         self.pager, self.codec, 0, f"{name}.dirB[{i}.{side}]"
                     )
-        # Catalog: tuple id <-> heap RID (a real system's data dictionary),
-        # plus a key cache so handicap maintenance does not have to fetch
-        # records to re-derive tree keys (kept consistent by insert/delete).
+        # Catalog: tuple id -> heap RID (a real system's data dictionary;
+        # :meth:`tids_for_rids` is the reverse), plus a key cache so
+        # handicap maintenance does not have to fetch records to re-derive
+        # tree keys (kept consistent by insert/delete).
         self.rid_of: dict[int, int] = {}
-        self.tid_of: dict[int, int] = {}
         self.keys_cache = KeysLRU(keys_cache_entries)
-        # Sorted rid -> tid translation arrays for the vectorized batch
-        # path, rebuilt lazily whenever the structure version moves.
-        self._rid_lut: "np.ndarray | None" = None
-        self._tid_lut: "np.ndarray | None" = None
-        self._dense_lut: "np.ndarray | None" = None
-        self._lut_version = -1
         # The vector path's dual surface: built from a heap scan on first
         # use, then patched by insert/delete (see :meth:`surface`).
         self._surface: DualSurface | None = None
@@ -442,14 +431,14 @@ class DualIndex:
             rid = self.heap.insert(encode_tuple(tid, t))
             rids.append(rid)
             self.rid_of[tid] = rid
-            self.tid_of[rid] = tid
             keys_by_rid[rid] = entry
             self.keys_cache[rid] = entry
             for i in range(k):
                 up_entries[i].append((entry.top[i], rid))
                 down_entries[i].append((entry.bot[i], rid))
             self.size += 1
-        self.summaries.write(rids, summaries[[item[4] for item in staged]])
+        self.summaries.write(rids, summaries[[item[4] for item in staged]],
+                             [item[1] for item in staged])
         for i in range(k):
             self.up[i].bulk_load(up_entries[i], fill)
             self.down[i].bulk_load(down_entries[i], fill)
@@ -581,11 +570,16 @@ class DualIndex:
         miss, e.g. after a restart) from its fetched record."""
         keys = self.keys_cache.get(rid)
         if keys is None:
-            _tid, t = decode_tuple(self.heap.fetch(rid))
-            keys = self.compute_keys(t)
+            keys = self._record_keys(rid)
             self.keys_cache[rid] = keys
         value = getattr(keys, key_field)[i]
         return self.codec.quantize(value)
+
+    def _record_keys(self, rid: int) -> EntryKeys:
+        """A stored tuple's keys, by :meth:`insert`'s one-row pass."""
+        tid, t = self.fetch_tuple(rid)
+        [keys], _summary = surface_keys(DualSurface([tid], [t]), self.slopes)
+        return keys
 
     # ------------------------------------------------------------------
     # dynamic updates
@@ -611,9 +605,8 @@ class DualIndex:
         piece = DualSurface([tid], [t])
         [keys], summary = surface_keys(piece, self.slopes)
         rid = self.heap.insert(encode_tuple(tid, t))
-        self.summaries.write([rid], summary)
+        self.summaries.write([rid], summary, [tid])
         self.rid_of[tid] = rid
-        self.tid_of[rid] = tid
         self.keys_cache[rid] = keys
         for i in range(len(self.slopes)):
             self.up[i].insert(keys.top[i], rid)
@@ -655,11 +648,9 @@ class DualIndex:
         rid = self.rid_of.pop(tid, None)
         if rid is None:
             raise IndexError_(f"tuple id {tid} is not indexed")
-        del self.tid_of[rid]
         keys = self.keys_cache.pop(rid, None)
         if keys is None:
-            _stored_tid, t = decode_tuple(self.heap.fetch(rid))
-            keys = self.compute_keys(t)
+            keys = self._record_keys(rid)
         for i in range(len(self.slopes)):
             if not self.up[i].delete(keys.top[i], rid):
                 raise IndexError_(f"up[{i}] entry missing for tuple {tid}")
@@ -713,12 +704,12 @@ class DualIndex:
 
         Page images live in the pager; this payload is everything else a
         restored process needs: configuration (slopes, key width,
-        dynamic flag), the tuple↔RID catalog, per-tree shape state, heap
-        and summary-file bookkeeping, and the assignment-key extrema.
-        Deliberately *not*
-        persisted: ``keys_cache`` (re-derived from heap records on
-        miss), the lazy rid/tid LUTs (rebuilt on version) and the dual
-        surface (rebuilt on first use).
+        dynamic flag), the tuple→RID catalog ``rid_of``, per-tree shape
+        state, heap and summary-file bookkeeping, and the assignment-key
+        extrema. Deliberately *not* persisted: ``keys_cache``
+        (re-derived from heap records on miss), the summary file's tid
+        column (rebuilt from ``rid_of`` by :meth:`restore_catalog`) and
+        the dual surface (rebuilt on first use).
         """
         return {
             "name": self.name,
@@ -746,7 +737,6 @@ class DualIndex:
         self.version = payload["version"]
         self.skipped = list(payload["skipped"])
         self.rid_of = {int(t): int(r) for t, r in payload["rid_of"]}
-        self.tid_of = {r: t for t, r in self.rid_of.items()}
         self.assign_extrema = {
             (name, side): (lo, hi)
             for name, side, lo, hi in payload["assign_extrema"]
@@ -765,11 +755,12 @@ class DualIndex:
                 self.summaries.write(
                     [rid for rid, _item in records],
                     summary_rows(surface, self.slopes),
+                    [tid for _rid, (tid, _t) in records],
                 )
+        self.summaries.set_tids(list(self.rid_of.values()), list(self.rid_of))
         trees = payload["trees"]
         for tree in self.all_trees():
             tree.restore_state(trees[tree.name])
-        self._lut_version = -1
         self._surface = None
 
     def surface(self) -> DualSurface:
@@ -804,41 +795,10 @@ class DualIndex:
         return decode_tuple(self.heap.fetch(rid))
 
     def tids_for_rids(self, rids) -> "np.ndarray":
-        """Vectorized catalog translation: tuple ids for an array of
-        rids (all must be indexed).
-
-        A dense gather table (``table[rid] -> tid``) when the rid space
-        is small enough — one fancy-indexing pass, ~1ns per rid — and a
-        ``np.searchsorted`` against sorted translation arrays otherwise.
-        The batch executor's accepted sets are the largest per-query
-        loops left once sweeps are columnar, and binary search was
-        measured an order of magnitude slower than the dense gather.
-        The tables rebuild lazily on version changes, so updates stay
-        cheap.
-        """
-        arr = np.asarray(rids, dtype=np.int64)
-        if self._lut_version != self.version:
-            items = sorted(self.tid_of.items())
-            self._rid_lut = np.fromiter(
-                (r for r, _ in items), dtype=np.int64, count=len(items)
-            )
-            self._tid_lut = np.fromiter(
-                (t for _, t in items), dtype=np.int64, count=len(items)
-            )
-            max_rid = int(self._rid_lut[-1]) if len(items) else -1
-            if 0 <= max_rid < _DENSE_LUT_LIMIT:
-                dense = np.full(max_rid + 1, -1, dtype=np.int64)
-                dense[self._rid_lut] = self._tid_lut
-                self._dense_lut = dense
-            else:
-                self._dense_lut = None
-            self._lut_version = self.version
-        if arr.size == 0:
-            return arr
-        if self._dense_lut is not None:
-            return self._dense_lut[arr]
-        assert self._rid_lut is not None and self._tid_lut is not None
-        return self._tid_lut[np.searchsorted(self._rid_lut, arr)]
+        """Tuple ids of indexed rids: one gather from the summary file's
+        tid column, which every write keeps current (nothing to rebuild).
+        The one rid→tid translation of the exact, T1/T2 and batch paths."""
+        return self.summaries.tids_of(np.asarray(rids, dtype=np.int64))
 
     def margin(self, value: float) -> float:
         """Safety widening of sweep boundaries.

@@ -311,14 +311,7 @@ class DualIndexPlanner:
         confirmed, false_hits, heap_pages = refine_candidates(
             index.heap, query, band.tolist()
         )
-        # Catalog lookups, not tids_for_rids: its dense table would cost
-        # the T1/T2 path memory it otherwise never needs.
-        hits = candidates[hit].tolist()
-        result.set_lazy_ids(
-            np.fromiter(map(index.tid_of.__getitem__, hits), dtype=np.int64,
-                        count=len(hits)),
-            confirmed,
-        )
+        result.set_lazy_ids(index.tids_for_rids(candidates[hit]), confirmed)
         result.candidates = int(candidates.size)
         result.accepted_without_refinement = int(hit.sum())
         result.false_hits = int(miss.sum()) + false_hits

@@ -249,7 +249,7 @@ class BatchExecutor:
             for position, query, accepted, boundary in partials:
                 out.candidates[position] = len(accepted) + len(boundary)
                 out.accepted_without_refinement[position] = len(accepted)
-                out.tids[position] = self.index.tids_for_rids(accepted)
+                out.tids[position] = accepted
                 if len(boundary):
                     out.refinement_pages_q[position] = int(
                         rid_pages(boundary).size
@@ -283,7 +283,7 @@ class BatchExecutor:
         """One shared descent + merged sweep, split per query.
 
         Returns ``(leaf pages swept, partials)`` where each partial is
-        ``(original position, query, accepted rids, boundary rids)`` —
+        ``(original position, query, accepted tids, boundary rids)`` —
         the same two candidate sets the sequential exact path builds
         with its own sweep (same quantized start and accept boundaries),
         as int64 arrays. A query's entries are the suffix
@@ -291,6 +291,8 @@ class BatchExecutor:
         boundary lands at one ``searchsorted`` index, so accepted is
         ``rids[split:]`` and boundary ``rids[offsets[j]:split]`` (the
         sweep keys run toward the accept region in both directions).
+        Every accepted set is a suffix of one array, so the group's
+        accepted rids are translated to tids in one gather.
         """
         theta = group.queries[0].theta
         trees, upward = self.index.trees_for(group.query_type, theta)
@@ -326,17 +328,21 @@ class BatchExecutor:
         probes = np.asarray(accepts, dtype=np.float64)
         if not upward:
             probes = -probes
-        splits = np.searchsorted(base, probes, side="left")
         rids = sweep.rids
+        splits = np.maximum(
+            sweep.offsets, np.searchsorted(base, probes, side="left")
+        ).tolist()
+        first = min(splits)
+        tids = self.index.tids_for_rids(rids[first:])
         partials = []
         for j, (position, query) in enumerate(
             zip(group.indices, group.queries)
         ):
-            at = sweep.offsets[j]
-            split = max(at, int(splits[j]))
-            partials.append(
-                (position, query, rids[split:], rids[at:split])
-            )
+            split = splits[j]
+            partials.append((
+                position, query, tids[split - first:],
+                rids[sweep.offsets[j]:split],
+            ))
         return sweep.leaves, partials
 
     def _fetch_boundary(

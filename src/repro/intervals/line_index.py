@@ -45,7 +45,6 @@ class LineQueryIndex:
             IntervalTree(self.pager, self.codec, f"line[{i}]")
             for i in range(len(slopes))
         ]
-        self.tid_of: dict[int, int] = {}
         self.size = 0
         self.skipped: list[int] = []
 
@@ -69,7 +68,6 @@ class LineQueryIndex:
                 index.skipped.append(tid)
                 continue
             rid = index.heap.insert(encode_tuple(tid, t))
-            index.tid_of[rid] = tid
             for i, s in enumerate(slopes):
                 lo = bot(poly, s)
                 hi = top(poly, s)

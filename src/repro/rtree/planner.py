@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.constraints.relation import GeneralizedRelation
 from repro.core.planner import refine_candidates
 from repro.core.query import ALL, EXIST, HalfPlaneQuery, QueryResult
-from repro.errors import GeometryError, QueryError
+from repro.errors import GeometryError, IndexError_, QueryError
 from repro.obs import trace as obs
 from repro.rtree.base import RTreeBase
 from repro.rtree.mbr import Rect
@@ -140,7 +140,10 @@ class RTreePlanner:
     # updates
     # ------------------------------------------------------------------
     def insert(self, tid: int, t) -> None:
-        """Dynamic insert of one bounded tuple."""
+        """Dynamic insert of one bounded tuple; a tuple id already
+        indexed is rejected before the heap is touched."""
+        if tid in self.rid_of:
+            raise IndexError_(f"tuple id {tid} already indexed")
         poly = t.extension()
         if poly.is_empty or not poly.is_bounded:
             raise GeometryError("R-tree tuples must be non-empty and bounded")

@@ -53,7 +53,7 @@ def rid_pages(rids) -> np.ndarray:
 
 
 class HeapFile:
-    """Append-mostly record store with slot reuse."""
+    """Append-mostly record store; a deleted slot is never reused."""
 
     def __init__(self, pager: Pager) -> None:
         self.pager = pager

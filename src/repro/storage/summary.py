@@ -15,6 +15,10 @@ slots, and a new heap page starts where the previous one ended. Slots
 that were never written (a heap page whose first records predate the
 summary file) read as NaN, so a reader can always tell a missing record
 from a present one. ``docs/STORAGE.md`` documents the layout.
+
+The same slots address an in-memory tid column (the tuple id per slot,
+-1 when deleted or never written): the index's one RID -> tuple-id
+translation, rebuilt from the catalog on restore, never persisted.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ class SummaryFile:
         #: for a heap page that has none).
         self._base = np.full(0, -1, dtype=np.int64)
         self._next = 0
+        #: Tuple id per summary slot (-1: deleted or never written).
+        self._tids = np.full(0, -1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # snapshot state (checkpoint/restore)
@@ -58,12 +64,14 @@ class SummaryFile:
         }
 
     def restore_state(self, payload: dict) -> None:
-        """Inverse of :meth:`state_payload`."""
+        """Inverse of :meth:`state_payload`. The tid column starts empty;
+        :meth:`set_tids` fills it from the caller's catalog."""
         self._pages = list(payload["pages"])
         self._base = np.full(0, -1, dtype=np.int64)
         for heap_page, base in payload["base"]:
             self._set_base(heap_page, base)
         self._next = payload["next"]
+        self._tids = np.full(0, -1, dtype=np.int64)
 
     @property
     def page_count(self) -> int:
@@ -73,12 +81,12 @@ class SummaryFile:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def write(self, rids, rows) -> None:
-        """Store the summaries of freshly inserted heap records.
+    def write(self, rids, rows, tids) -> None:
+        """Store the summaries and tids of freshly inserted records.
 
         ``rids`` must come in the heap's insertion order; ``rows`` is a
-        ``(len(rids), width)`` array. Each touched summary page is
-        written once.
+        ``(len(rids), width)`` array and ``tids`` the records' tuple
+        ids. Each touched summary page is written once.
         """
         rids = np.asarray(rids, dtype=np.int64)
         rows = np.asarray(rows, dtype=np.float64).reshape(-1, self.width)
@@ -102,22 +110,24 @@ class SummaryFile:
                 "with the heap"
             )
         self._store(slots, rows)
+        self.set_tids(rids, tids)
 
     def clear(self, rid: int) -> None:
-        """Overwrite a deleted record's summary with NaN."""
-        slot = int(self.slots_for(np.asarray([rid], dtype=np.int64))[0])
-        if slot >= 0:
-            self._store(
-                np.asarray([slot]), np.full((1, self.width), np.nan)
-            )
+        """Overwrite a deleted record's summary with NaN and its tid
+        with -1 (heap slots are never reused)."""
+        slots = self._slots(np.asarray([rid], dtype=np.int64))
+        self._store(slots, np.full((1, self.width), np.nan))
+        self._tids[slots] = -1
+
+    def set_tids(self, rids, tids) -> None:
+        """Point the tid column at ``tids`` for the stored ``rids``."""
+        slots = self._slots(np.asarray(rids, dtype=np.int64))
+        if slots.size:
+            self._tids = _covering(self._tids, int(slots.max()))
+            self._tids[slots] = tids
 
     def _set_base(self, heap_page: int, base: int) -> None:
-        if heap_page >= self._base.size:
-            grown = np.full(
-                max(heap_page + 1, 2 * self._base.size), -1, dtype=np.int64
-            )
-            grown[: self._base.size] = self._base
-            self._base = grown
+        self._base = _covering(self._base, heap_page)
         self._base[heap_page] = base
 
     def _store(self, slots: np.ndarray, rows: np.ndarray) -> None:
@@ -154,6 +164,18 @@ class SummaryFile:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
+    def _slots(self, rids: np.ndarray) -> np.ndarray:
+        """Summary slots of RIDs of records the file holds (no checks)."""
+        return self._base[rids >> _SLOT_BITS] + (rids & _SLOT_MASK)
+
+    def tids_of(self, rids: np.ndarray) -> np.ndarray:
+        """Tuple ids of live records' int64 RIDs: one gather."""
+        return self._tids[self._slots(rids)]
+
+    def live_tids(self) -> int:
+        """Number of live entries of the tid column."""
+        return int(np.count_nonzero(self._tids >= 0))
+
     def slots_for(self, rids: np.ndarray) -> np.ndarray:
         """Summary slots of packed RIDs (-1 where a record has none)."""
         pages = rids >> _SLOT_BITS
@@ -181,3 +203,13 @@ class SummaryFile:
             block[n] = self._decode(self.pager.read(self._pages[page]))
         rows[present] = block[position, slots[present] % self.per_page]
         return rows, int(pages.size)
+
+
+def _covering(table: np.ndarray, position: int) -> np.ndarray:
+    """``table``, or a copy grown (doubling, -1 filled) to hold
+    ``position``."""
+    if position < table.size:
+        return table
+    grown = np.full(max(position + 1, 2 * table.size), -1, dtype=np.int64)
+    grown[: table.size] = table
+    return grown

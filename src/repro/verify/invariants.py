@@ -12,8 +12,9 @@ Checkers
   (delegates to :meth:`BPlusTree.check_invariants`), plus dirty-leaf
   bookkeeping.
 * :func:`check_dual_index` — per-tree invariants for all 2k trees, the
-  tuple-id ↔ RID catalog bijection, per-tree entry counts, and a
-  summary file equal to one derived afresh from the heap records.
+  tid column as the inverse of the tuple-id → RID catalog, per-tree
+  entry counts, and a summary file equal to one derived afresh from the
+  heap records.
 * :func:`check_envelopes` — TOP^P convexity and BOT^P concavity of the
   dual profiles (the shape facts Section 2.1 proves and the handicap
   machinery relies on), plus TOP ≥ BOT across the finite domain.
@@ -64,16 +65,19 @@ def check_dual_index(index) -> None:
                 f"tree {tree.name!r} holds {tree.size} entries but the "
                 f"index holds {index.size} tuples"
             )
-    if len(index.rid_of) != index.size or len(index.tid_of) != index.size:
+    live = index.summaries.live_tids()
+    if len(index.rid_of) != index.size or live != index.size:
         raise VerificationError(
             f"catalog size mismatch: {len(index.rid_of)} tids / "
-            f"{len(index.tid_of)} rids vs index size {index.size}"
+            f"{live} live tid column entries vs index size {index.size}"
         )
-    for tid, rid in index.rid_of.items():
-        if index.tid_of.get(rid) != tid:
+    rids = list(index.rid_of.values())
+    for tid, rid, got in zip(index.rid_of, rids,
+                             index.tids_for_rids(rids).tolist()):
+        if got != tid:
             raise VerificationError(
-                f"catalog not a bijection: tid {tid} -> rid {rid} -> "
-                f"tid {index.tid_of.get(rid)!r}"
+                f"tid column not the inverse of the catalog: tid {tid} "
+                f"-> rid {rid} -> tid {got}"
             )
     _check_summaries(index)
 

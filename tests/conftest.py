@@ -72,6 +72,16 @@ def assert_close(a: float, b: float, tol: float = 1e-9) -> None:
         assert abs(a - b) <= tol * max(1.0, abs(a), abs(b)), (a, b)
 
 
+def assert_tids_invert_catalog(index) -> None:
+    """A :class:`~repro.core.dual_index.DualIndex`'s rid→tid gather over
+    every live heap record equals the inverse of its ``rid_of``
+    catalog."""
+    live = [rid for rid, _data in index.heap.scan()]
+    inverse = {rid: tid for tid, rid in index.rid_of.items()}
+    assert sorted(live) == sorted(inverse)
+    assert index.tids_for_rids(live).tolist() == [inverse[r] for r in live]
+
+
 def scalar_refine(heap, query, rids):
     """Reference refinement: one scalar predicate call per candidate.
 

@@ -20,7 +20,11 @@ from repro.geometry.predicates import evaluate_relation
 from repro.intervals import LineQueryIndex
 from repro.rtree.planner import RTreePlanner
 from repro.storage import KeyCodec, Pager
-from tests.conftest import random_bounded_tuple, random_mixed_relation
+from tests.conftest import (
+    assert_tids_invert_catalog,
+    random_bounded_tuple,
+    random_mixed_relation,
+)
 
 
 class TestSharedPager:
@@ -74,10 +78,12 @@ class TestLongMixedWorkload:
                 t = random_bounded_tuple(rng)
                 tid = live.add(t)
                 planner.insert(tid, t)
+                assert_tids_invert_catalog(index)
             elif roll < 0.65:
                 tid = rng.choice(list(live.ids()))
                 live.remove(tid)
                 planner.delete(tid)
+                assert_tids_invert_catalog(index)
             else:
                 qtype = rng.choice([ALL, EXIST])
                 theta = rng.choice([Theta.GE, Theta.LE])

@@ -86,7 +86,7 @@ def test_settled_candidates_agree_with_oracle(seed, key_bytes):
     tuples = _mixed_shapes(rng, 18)
     index = DualIndex(Pager(), SLOPES, KeyCodec(key_bytes))
     index.build(GeneralizedRelation(tuples))
-    rids = np.asarray(sorted(index.tid_of), dtype=np.int64)
+    rids = np.asarray(sorted(index.rid_of.values()), dtype=np.int64)
     rows, _pages = index.summaries.read(rids)
     polys = [tuples[tid].extension() for tid in index.tids_for_rids(rids)]
     settled = 0

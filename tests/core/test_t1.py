@@ -119,7 +119,7 @@ class TestExecution:
             theta = rng.choice([Theta.GE, Theta.LE])
             q = HalfPlaneQuery(qtype, a, rng.uniform(-60, 60), theta)
             rids, _dups = t1_candidates(idx, q)
-            got_tids = {idx.tid_of[rid] for rid in rids}
+            got_tids = set(idx.tids_for_rids(rids).tolist())
             want = evaluate_relation(relation, qtype, a, q.intercept, theta)
             assert want <= got_tids, q
 

@@ -59,7 +59,7 @@ class TestTrace:
         for _ in range(100):
             q = random_interior_query(rng)
             trace = t2_candidates(idx, q)
-            got = {idx.tid_of[rid] for rid in trace.candidates}
+            got = set(idx.tids_for_rids(trace.candidates).tolist())
             want = evaluate_relation(
                 relation, q.query_type, q.slope_2d, q.intercept, q.theta
             )

@@ -165,6 +165,22 @@ class TestDynamic:
         with pytest.raises(QueryError):
             planner.delete(987654)
 
+    def test_duplicate_tid_insert_rejected(self):
+        """Re-inserting an indexed tid must not orphan its old record: a
+        later delete then removes the tuple from every answer."""
+        from repro.errors import IndexError_
+
+        box = GeneralizedTuple.from_box((0.0, 0.0), (1.0, 1.0))
+        planner = RTreePlanner.build(
+            GeneralizedRelation([box, box]), pager=Pager()
+        )
+        with pytest.raises(IndexError_, match="already indexed"):
+            planner.insert(0, GeneralizedTuple.from_box((2.0, 2.0), (3.0, 3.0)))
+        assert len(list(planner.heap.scan())) == 2
+        assert len(planner.rid_of) == len(planner.tid_of) == 2
+        planner.delete(0)
+        assert planner.exist(0.0, -1e6, Theta.GE).ids == {1}
+
     def test_unbounded_insert_rejected(self, setup):
         from repro.constraints import parse_tuple
         from repro.errors import GeometryError

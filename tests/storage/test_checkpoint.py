@@ -23,6 +23,7 @@ from repro.storage import (
     write_catalog,
 )
 from repro.storage.checkpoint import CATALOG_FILES
+from tests.conftest import assert_tids_invert_catalog
 
 SLOPES = SlopeSet.uniform_angles(4)
 
@@ -71,6 +72,7 @@ def test_save_and_open_snapshot(tmp_path):
     reopened = open_planner(path)
     assert reopened.index.size == planner.index.size
     assert _answers(reopened, queries) == expected
+    assert_tids_invert_catalog(reopened.index)
     # allocator cloned: both sides hand out the same next page id
     assert reopened.index.pager.disk.allocate() == \
         planner.index.pager.disk.allocate()
@@ -96,12 +98,14 @@ def test_live_save_commit_and_reopen(tmp_path):
     rng = random.Random(3)
     tid = planner.index.size + 100
     planner.insert(tid, bounded_tuple(rng))
+    planner.delete(3)
     commit_planner(planner, path)  # WAL-only durability point
     expected = _answers(planner, queries)
     disk.close()
 
     reopened = open_planner(path)
     assert _answers(reopened, queries) == expected
+    assert_tids_invert_catalog(reopened.index)
     reopened.index.pager.disk.close()
 
 

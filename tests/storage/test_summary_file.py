@@ -56,8 +56,11 @@ class TestSummaryFile:
         assert summaries.per_page == 1024 // 56
         rids = [heap.insert(bytes(200)) for _ in range(60)]
         rows = np.arange(60 * 14, dtype=np.float64).reshape(60, 14)
-        summaries.write(rids, rows)
+        summaries.write(rids, rows, range(100, 160))
         assert summaries.page_count == -(-60 // summaries.per_page)
+        assert summaries.tids_of(np.asarray(rids[::-1])).tolist() == list(
+            range(159, 99, -1)
+        )
         with pager.measure() as scope:
             got, pages = summaries.read(rids[::-1])
         assert np.array_equal(got, rows[::-1])
@@ -69,7 +72,7 @@ class TestSummaryFile:
     def test_records_without_summary_read_nan(self):
         pager = Pager()
         summaries = SummaryFile(pager, width=6, key_bytes=8)
-        summaries.write([pack_rid(7, 2)], np.ones((1, 6)))
+        summaries.write([pack_rid(7, 2)], np.ones((1, 6)), [0])
         got, pages = summaries.read([pack_rid(7, 0), pack_rid(9, 0),
                                      pack_rid(7, 2)])
         assert np.isnan(got[:2]).all()
@@ -80,12 +83,12 @@ class TestSummaryFile:
         pager = Pager()
         summaries = SummaryFile(pager, width=6)
         summaries.write([pack_rid(3, 0), pack_rid(3, 1), pack_rid(5, 0)],
-                        np.eye(3, 6))
+                        np.eye(3, 6), [0, 1, 2])
         restored = SummaryFile(pager, width=6)
         restored.restore_state(summaries.state_payload())
         rids = [pack_rid(3, 1), pack_rid(5, 0)]
         assert np.array_equal(restored.read(rids)[0], summaries.read(rids)[0])
-        restored.write([pack_rid(5, 1)], np.full((1, 6), 2.0))
+        restored.write([pack_rid(5, 1)], np.full((1, 6), 2.0), [3])
         assert (restored.read([pack_rid(5, 1)])[0] == 2.0).all()
 
 

@@ -65,11 +65,12 @@ class TestCorruptionDetected:
         tid = next(iter(index.rid_of))
         rid = index.rid_of[tid]
         try:
-            index.tid_of[rid] = tid + 1_000_000
-            with pytest.raises(VerificationError):
+            index.summaries.set_tids([rid], [tid + 1_000_000])
+            with pytest.raises(VerificationError, match="tid column"):
                 check_dual_index(index)
         finally:
-            index.tid_of[rid] = tid
+            index.summaries.set_tids([rid], [tid])
+        check_dual_index(index)  # restored
 
     def test_buffer_pool_negative_pin(self, planner):
         pool = planner.index.pager.buffer
@@ -99,7 +100,7 @@ def test_stale_summary_detected():
     )
     index = planner.index
     check_dual_index(index)
-    rid = next(iter(index.tid_of))
+    rid = next(iter(index.rid_of.values()))
     rows, _pages = index.summaries.read([rid])
     rows[0, 0] += 1.0
     index.summaries._store(index.summaries.slots_for(np.asarray([rid])), rows)
