@@ -800,6 +800,54 @@ class DualIndex:
         The one rid→tid translation of the exact, T1/T2 and batch paths."""
         return self.summaries.tids_of(np.asarray(rids, dtype=np.int64))
 
+    def restricted_split(
+        self, slope_index: int, query_type: str, theta, intercepts
+    ) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+        """The restricted technique (Section 3) for queries that share
+        one tree and sweep direction: one descent, one merged sweep,
+        split per query.
+
+        Each query's sweep starts one :meth:`margin` before its
+        intercept; entries from one margin past it on are accepted
+        without refinement. Returns ``(leaf pages swept, [(accepted
+        tids, boundary rids)])`` aligned with ``intercepts``, as int64
+        arrays. A query's entries are the suffix ``rids[offsets[j]:]`` of
+        the shared sweep and its accept key lands at one ``searchsorted``
+        index, so accepted is ``rids[split:]`` and boundary
+        ``rids[offsets[j]:split]`` (the sweep keys run toward the accept
+        region in both directions). Every accepted set is a suffix of
+        one array, so all of them are translated to tids in one gather.
+        """
+        trees, upward = self.trees_for(query_type, theta)
+        tree = trees[slope_index]
+        # +1 for up-sweeps (accept keys >= accept), -1 for down-sweeps
+        # (descending keys, accept keys <= accept): in the ascending
+        # comparison space ``sign * key`` both accept at the right end.
+        sign = 1.0 if upward else -1.0
+        margins = [self.margin(b) for b in intercepts]
+        starts = [b - sign * m for b, m in zip(intercepts, margins)]
+        accepts = [
+            tree.quantize(b + sign * m) for b, m in zip(intercepts, margins)
+        ]
+        with obs.span("sweep.exact", tree=tree.name, queries=len(starts)):
+            sweep = (
+                tree.sweep_up_multi(starts)
+                if upward
+                else tree.sweep_down_multi(starts)
+            )
+            splits = np.maximum(
+                sweep.offsets,
+                np.searchsorted(
+                    sign * sweep.keys, sign * np.asarray(accepts), side="left"
+                ),
+            ).tolist()
+            first = min(splits)
+            tids = self.tids_for_rids(sweep.rids[first:])
+        return sweep.leaves, [
+            (tids[split - first :], sweep.rids[offset:split])
+            for offset, split in zip(sweep.offsets, splits)
+        ]
+
     def margin(self, value: float) -> float:
         """Safety widening of sweep boundaries.
 

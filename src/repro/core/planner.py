@@ -10,10 +10,11 @@ Given a half-plane query, the planner picks the cheapest sound path:
 
 and then *refines* (:func:`refine_candidates`): every candidate RID is
 fetched from the heap (one counted page access per distinct page) and
-checked against the exact ALL/EXIST predicate — 2-D records in one
-columnar numpy pass, the few it cannot decide exactly one at a time —
-so the final answer always equals the oracle's. The R-tree and
-d-dimensional planners refine through the same function.
+checked against the exact ALL/EXIST predicate (:func:`refine_records`
+— 2-D records in one columnar numpy pass, small slices and the few the
+pass cannot decide exactly one at a time), so the final answer always
+equals the oracle's. The R-tree and d-dimensional planners refine
+through the same function; the batch executor shares the decision step.
 
 T1 and T2 candidates are *settled* first (:mod:`repro.core.settle`):
 their dual summaries are read from the index's summary file (one
@@ -248,33 +249,20 @@ class DualIndexPlanner:
         return self._t1_path(query)
 
     def _exact_path(self, query: HalfPlaneQuery, slope_index: int) -> QueryResult:
-        """One sweep from the quantized start to the end of the leaf
-        chain (a single-start merged sweep), split into accepted/boundary
-        by one ``np.searchsorted``."""
-        trees, upward = self.index.trees_for(query.query_type, query.theta)
-        tree = trees[slope_index]
-        margin = self.index.margin(query.intercept)
-        with obs.span("sweep.exact", tree=tree.name):
-            if upward:
-                accept_key = tree.quantize(query.intercept + margin)
-                sweep = tree.sweep_up_multi([query.intercept - margin])
-                split = int(np.searchsorted(sweep.keys, accept_key, side="left"))
-            else:
-                # Descending keys: accepted are keys <= accept_key.
-                accept_key = tree.quantize(query.intercept - margin)
-                sweep = tree.sweep_down_multi([query.intercept + margin])
-                split = int(
-                    np.searchsorted(-sweep.keys, -accept_key, side="left")
-                )
-            accepted = sweep.rids[split:]
-            boundary = sweep.rids[:split]
+        """The restricted technique as a one-query group of
+        :meth:`DualIndex.restricted_split`: one sweep from the quantized
+        start to the end of the leaf chain, split into accepted and
+        boundary by one ``np.searchsorted``; the boundary is refined."""
+        _leaves, [(accepted, boundary)] = self.index.restricted_split(
+            slope_index, query.query_type, query.theta, [query.intercept]
+        )
         result = QueryResult(technique="exact")
         result.accepted_without_refinement = int(accepted.size)
         result.candidates = int(accepted.size + boundary.size)
         confirmed, false_hits, pages = refine_candidates(
             self.index.heap, query, boundary.tolist()
         )
-        result.set_lazy_ids(self.index.tids_for_rids(accepted), confirmed)
+        result.set_lazy_ids(accepted, confirmed)
         result.false_hits = false_hits
         result.refinement_pages = pages
         return result
@@ -324,37 +312,61 @@ class DualIndexPlanner:
         )
 
 
+#: Smallest 2-D slice the columnar kernel decides; smaller slices take
+#: the scalar path. The kernel has a fixed cost: on the perfbench
+#: relation (seed 1, 3,000 repeats per size, alternating order, 2-vCPU
+#: VM) one record took a median 147 µs scalar against 242 µs kernel,
+#: three 250 against 274, four 295 against 282 and eight 475 against
+#: 315. Restricted-slope boundaries of one or two records are the common
+#: case of a merged batch sweep.
+KERNEL_MIN_RECORDS = 4
+
+
 def refine_candidates(
     heap: HeapFile, query: HalfPlaneQuery, rids: Iterable[int]
 ) -> tuple[set[int], int, int]:
     """The refinement step: fetch the candidates, keep the true hits.
 
     Fetches the candidate records page-batched (the I/O cost is one page
-    access per distinct heap page holding a candidate) and tests each
-    against the exact ALL/EXIST predicate. A 2-D slice of records is
-    decoded column-wise (:func:`~repro.storage.serialize.decode_halfplanes_2d`)
-    and decided in one numpy pass: the predicate, handed the rows,
-    runs :func:`~repro.geometry.predicates.halfplane_rows`, which settles
-    every record whose decision provably equals the scalar predicate's.
-    The rest — unbounded, vertex-free, contradictory, degenerate or
-    near-boundary records, and every record in d >= 3 — take the scalar
-    path: :func:`decode_tuple`, one batched warm-up
-    (:func:`~repro.geometry.polyhedron.warm_batch`), then
-    :func:`exist_halfplane` / :func:`all_halfplane` per record. Used by
-    :class:`DualIndexPlanner`, :class:`repro.rtree.planner.RTreePlanner`
-    and :class:`repro.core.ddim.DDimPlanner`.
+    access per distinct heap page holding a candidate) and decides them
+    with :func:`refine_records`. Used by :class:`DualIndexPlanner`,
+    :class:`repro.rtree.planner.RTreePlanner` and
+    :class:`repro.core.ddim.DDimPlanner`; the batch executor fetches its
+    boundaries once per batch and calls :func:`refine_records` itself.
 
     Returns ``(confirmed tuple ids, false hits, refinement pages)``.
+    """
+    rids = list(rids)
+    pages = len({unpack_rid(rid)[0] for rid in rids})
+    with obs.span("fetch"):
+        payloads = list(heap.fetch_batch(rids).values())
+    confirmed, false_hits = refine_records(payloads, query)
+    return confirmed, false_hits, pages
+
+
+def refine_records(
+    payloads: list[bytes], query: HalfPlaneQuery
+) -> tuple[set[int], int]:
+    """Test fetched records against the exact ALL/EXIST predicate.
+
+    A 2-D slice of at least :data:`KERNEL_MIN_RECORDS` records is decoded
+    column-wise (:func:`~repro.storage.serialize.decode_halfplanes_2d`)
+    and decided in one numpy pass: the predicate, handed the rows, runs
+    :func:`~repro.geometry.predicates.halfplane_rows`, which settles
+    every record whose decision provably equals the scalar predicate's.
+    The rest — smaller slices, unbounded, vertex-free, contradictory,
+    degenerate or near-boundary records, and every record in d >= 3 —
+    take the scalar path: :func:`decode_tuple`, one batched warm-up
+    (:func:`~repro.geometry.polyhedron.warm_batch`), then
+    :func:`exist_halfplane` / :func:`all_halfplane` per record.
+
+    Returns ``(confirmed tuple ids, false hits)``.
     """
     # Imported here rather than bound at module level, so a wrapper
     # installed on ``serialize.decode_tuple`` (layer tracing) sees these
     # calls.
     from repro.storage.serialize import decode_tuple
 
-    rids = list(rids)
-    pages = len({unpack_rid(rid)[0] for rid in rids})
-    with obs.span("fetch"):
-        payloads = list(heap.fetch_batch(rids).values())
     predicate = all_halfplane if query.query_type == ALL else exist_halfplane
     slope, intercept, theta = query.slope, query.intercept, query.theta
     with obs.span("verify"):
@@ -367,11 +379,14 @@ def refine_candidates(
         for lo in range(0, len(payloads), WARM_CHUNK):
             chunk = payloads[lo : lo + WARM_CHUNK]
             if query.dimension == 2:
-                rows = decode_halfplanes_2d(chunk)
-                holds, decided = predicate(rows, query.slope_2d, intercept, theta)
-                confirmed.update(rows.tids[decided & holds].tolist())
-                false_hits += int(np.count_nonzero(decided & ~holds))
-                chunk = [chunk[k] for k in np.flatnonzero(~decided).tolist()]
+                if len(chunk) >= KERNEL_MIN_RECORDS:
+                    rows = decode_halfplanes_2d(chunk)
+                    holds, decided = predicate(
+                        rows, query.slope_2d, intercept, theta
+                    )
+                    confirmed.update(rows.tids[decided & holds].tolist())
+                    false_hits += int(np.count_nonzero(decided & ~holds))
+                    chunk = [chunk[k] for k in np.flatnonzero(~decided).tolist()]
                 fallbacks += len(chunk)
             items = [decode_tuple(data) for data in chunk]
             extensions = [t.extension() for _tid, t in items]
@@ -384,4 +399,4 @@ def refine_candidates(
         obs.incr("refine.confirmed", len(confirmed))
         obs.incr("refine.false_hits", false_hits)
         obs.incr("refine.scalar_fallbacks", fallbacks)
-    return confirmed, false_hits, pages
+    return confirmed, false_hits

@@ -6,11 +6,14 @@ Answering ``n`` half-plane selections one at a time costs ``n`` descents,
 
 * queries on a restricted slope are grouped by ``(slope index, type, θ)``
   — one group is one B+-tree and one sweep direction (Section 3), so the
-  whole group is served by a *single* descent plus one merged range sweep
-  (:meth:`repro.btree.tree.BPlusTree.sweep_up_multi`);
-* boundary candidates of *all* exact groups are refined against one
-  shared heap fetch (each distinct page read once per batch, pinned in
-  the buffer pool while in use);
+  whole group is served by a *single* descent plus one merged range sweep,
+  split per query (:meth:`repro.core.dual_index.DualIndex.restricted_split`,
+  the split the sequential exact path runs as a one-query group);
+* boundary candidates of *all* exact groups are fetched once (each
+  distinct page read once per batch, pinned in the buffer pool while in
+  use), and each query's boundary records are decided by
+  :func:`repro.core.planner.refine_records`, the sequential planners'
+  refinement step;
 * queries on any other slope are answered from the index's vectorized
   dual surface (:meth:`repro.core.dual_index.DualIndex.surface`, built
   once and patched by every insert and delete) — one numpy pass over
@@ -45,30 +48,28 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from repro.constraints.tuples import GeneralizedTuple
-from repro.core.query import ALL, HalfPlaneQuery, QueryResult
+from repro.core.planner import DualIndexPlanner, refine_records
+from repro.core.query import HalfPlaneQuery, QueryResult
 from repro.core.slope_set import SLOPE_TOL
 from repro.errors import QueryError
 from repro.exec.cache import CacheKey, QueryResultCache, cache_key
-from repro.exec.grouping import ExactGroup, group_queries
+from repro.exec.grouping import group_queries
 from repro.exec.partials import ShardPartials
-from repro.geometry.polyhedron import warm_batch
-from repro.geometry.predicates import all_halfplane, exist_halfplane
+# Not called here (refinement runs in ``refine_records``): the
+# benchmark's probe table, ``perfbench/layers.py`` PROBES, looks up
+# ``exist_halfplane``, ``all_halfplane`` and ``decode_tuple`` in this
+# module, so the three names stay bound.
+from repro.geometry.predicates import all_halfplane, exist_halfplane  # noqa: F401
 from repro.geometry.vectorized import DualSurface
 from repro.obs import slopelog
 from repro.obs import trace as obs
 from repro.obs import tracer
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.storage.heap import rid_pages, unpack_rid
-from repro.storage.serialize import decode_tuple
+from repro.storage.serialize import decode_tuple  # noqa: F401
 from repro.storage.stats import IOStats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.planner import DualIndexPlanner
 
 
 @dataclass
@@ -235,18 +236,37 @@ class BatchExecutor:
         out.exact_groups = len(exact_groups)
         out.vector_groups = len(vector_groups)
 
-        # 2. One merged sweep per exact group.
-        sweeps = [self._sweep_group(group) for group in exact_groups]
+        # 2. One merged sweep per exact group, split per query.
+        swept = []
+        for group in exact_groups:
+            with self._io_lock:
+                leaves, parts = self.index.restricted_split(
+                    group.slope_index,
+                    group.query_type,
+                    group.queries[0].theta,
+                    [query.intercept for query in group.queries],
+                )
+            out.sweep_leaves += leaves
+            swept.append((group, parts))
 
         # 3. One shared refinement fetch for every boundary candidate of
-        # every exact group, pages pinned while the verify loop runs.
-        decoded = self._fetch_boundary(_boundary_union(sweeps), out)
+        # every exact group, each page read once and pinned meanwhile.
+        records = self._fetch_boundary(
+            {
+                rid
+                for _group, parts in swept
+                for _accepted, boundary in parts
+                for rid in boundary.tolist()
+            },
+            out,
+        )
 
-        # 4. Per-query verify, exactly the sequential refinement
-        # predicate on exactly the sequential boundary set.
-        for leaves, partials in sweeps:
-            out.sweep_leaves += leaves
-            for position, query, accepted, boundary in partials:
+        # 4. Per query, the planners' refinement decision on exactly the
+        # sequential boundary set.
+        for group, parts in swept:
+            for position, query, (accepted, boundary) in zip(
+                group.indices, group.queries, parts
+            ):
                 out.candidates[position] = len(accepted) + len(boundary)
                 out.accepted_without_refinement[position] = len(accepted)
                 out.tids[position] = accepted
@@ -255,8 +275,8 @@ class BatchExecutor:
                         rid_pages(boundary).size
                     )
                     out.extras[position], out.false_hits[position] = (
-                        self._verify_boundary(
-                            query, boundary.tolist(), decoded
+                        refine_records(
+                            [records[rid] for rid in boundary.tolist()], query
                         )
                     )
 
@@ -277,112 +297,18 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # exact groups
     # ------------------------------------------------------------------
-    def _sweep_group(
-        self, group: ExactGroup
-    ) -> tuple[int, list[tuple[int, HalfPlaneQuery, np.ndarray, np.ndarray]]]:
-        """One shared descent + merged sweep, split per query.
-
-        Returns ``(leaf pages swept, partials)`` where each partial is
-        ``(original position, query, accepted tids, boundary rids)`` —
-        the same two candidate sets the sequential exact path builds
-        with its own sweep (same quantized start and accept boundaries),
-        as int64 arrays. A query's entries are the suffix
-        ``keys[offsets[j]:]`` of the shared sweep and its accept
-        boundary lands at one ``searchsorted`` index, so accepted is
-        ``rids[split:]`` and boundary ``rids[offsets[j]:split]`` (the
-        sweep keys run toward the accept region in both directions).
-        Every accepted set is a suffix of one array, so the group's
-        accepted rids are translated to tids in one gather.
-        """
-        theta = group.queries[0].theta
-        trees, upward = self.index.trees_for(group.query_type, theta)
-        tree = trees[group.slope_index]
-        margins = [self.index.margin(q.intercept) for q in group.queries]
-        if upward:
-            starts = [
-                q.intercept - m for q, m in zip(group.queries, margins)
-            ]
-            accepts = [
-                tree.quantize(q.intercept + m)
-                for q, m in zip(group.queries, margins)
-            ]
-        else:
-            starts = [
-                q.intercept + m for q, m in zip(group.queries, margins)
-            ]
-            accepts = [
-                tree.quantize(q.intercept - m)
-                for q, m in zip(group.queries, margins)
-            ]
-        with self._io_lock, obs.span(
-            "sweep.batch", tree=tree.name, queries=len(group)
-        ):
-            sweep = (
-                tree.sweep_up_multi(starts)
-                if upward
-                else tree.sweep_down_multi(starts)
-            )
-        # Ascending comparison space: up-sweeps accept keys >= accept,
-        # down-sweeps (descending keys) accept keys <= accept.
-        base = sweep.keys if upward else -sweep.keys
-        probes = np.asarray(accepts, dtype=np.float64)
-        if not upward:
-            probes = -probes
-        rids = sweep.rids
-        splits = np.maximum(
-            sweep.offsets, np.searchsorted(base, probes, side="left")
-        ).tolist()
-        first = min(splits)
-        tids = self.index.tids_for_rids(rids[first:])
-        partials = []
-        for j, (position, query) in enumerate(
-            zip(group.indices, group.queries)
-        ):
-            split = splits[j]
-            partials.append((
-                position, query, tids[split - first:],
-                rids[sweep.offsets[j]:split],
-            ))
-        return sweep.leaves, partials
-
     def _fetch_boundary(
         self, boundary_rids: set[int], out: ShardPartials
-    ) -> dict[int, tuple[int, GeneralizedTuple]]:
-        """Fetch + decode all boundary candidates, each page once.
-
-        The decoded tuples' emptiness, vertices and boundedness are
-        settled in one batched warm-up, so the per-query predicates
-        below read cached geometry."""
+    ) -> dict[int, bytes]:
+        """Fetch every boundary record of the batch, each page once,
+        pinned in the buffer pool while the fetch runs."""
         if not boundary_rids:
             return {}
         pages = {unpack_rid(rid)[0] for rid in boundary_rids}
         out.refinement_pages = len(pages)
         with self._io_lock, self.index.pager.pinned(pages):
             with obs.span("fetch.batch", rids=len(boundary_rids)):
-                records = self.index.heap.fetch_batch(boundary_rids)
-        decoded = {rid: decode_tuple(data) for rid, data in records.items()}
-        warm_batch([t.extension() for _tid, t in decoded.values()])
-        return decoded
-
-    def _verify_boundary(
-        self,
-        query: HalfPlaneQuery,
-        boundary,
-        decoded: dict[int, tuple[int, GeneralizedTuple]],
-    ) -> tuple[set[int], int]:
-        """Run the refinement predicate over one query's boundary rids;
-        returns the confirmed tids and the number of false hits."""
-        predicate = all_halfplane if query.query_type == ALL else exist_halfplane
-        slope, intercept, theta = query.slope_2d, query.intercept, query.theta
-        confirmed: set[int] = set()
-        false_hits = 0
-        for rid in boundary:
-            tid, t = decoded[rid]
-            if predicate(t.extension(), slope, intercept, theta):
-                confirmed.add(tid)
-            else:
-                false_hits += 1
-        return confirmed, false_hits
+                return self.index.heap.fetch_batch(boundary_rids)
 
     # ------------------------------------------------------------------
     # vector path
@@ -571,12 +497,3 @@ def _trace_meta() -> dict:
     (empty when no request context is installed — the common case)."""
     ctx = tracer.context()
     return {"trace": ctx.trace_id} if ctx is not None else {}
-
-
-def _boundary_union(sweeps) -> set[int]:
-    """Every boundary rid of every exact group's partials."""
-    rids: set[int] = set()
-    for _leaves, partials in sweeps:
-        for _position, _query, _accepted, boundary in partials:
-            rids.update(boundary.tolist())
-    return rids

@@ -8,10 +8,10 @@ a committed directory must reopen to the same answers.
 
 import random
 
+from repro.core.dual_index import DualIndex
 from repro.core.planner import DualIndexPlanner
 from repro.core.slope_set import SlopeSet
 from repro.geometry.predicates import evaluate_relation
-from repro.geometry.vectorized import DualSurface
 from repro.serve.server import ServeConfig
 from repro.serve.testing import ServerThread
 from repro.storage.checkpoint import save_planner
@@ -52,12 +52,16 @@ def test_writes_patch_the_served_surface_and_survive_reopen(
     planner.index.pager.disk.close()
     live = dict(relation)
 
+    # A build is a surface() call that finds no surface to reuse.
     builds = []
-    real = DualSurface.from_items.__func__
-    monkeypatch.setattr(
-        DualSurface, "from_items",
-        classmethod(lambda cls, items: builds.append(1) or real(cls, items)),
-    )
+    real = DualIndex.surface
+
+    def surface(index):
+        if index._surface is None:
+            builds.append(1)
+        return real(index)
+
+    monkeypatch.setattr(DualIndex, "surface", surface)
 
     rng = random.Random(17)
     # A fixed pool asked again after every write: a stale cached answer
